@@ -145,6 +145,11 @@ type Characterization struct {
 	SetupPs float64
 	// MaxPs is the largest arrival observed anywhere.
 	MaxPs float64
+
+	grid struct {
+		once sync.Once
+		g    *ViolationGrid
+	}
 }
 
 // NumEndpoints returns the endpoint count (32, or 33 with flag).
@@ -157,6 +162,71 @@ func (c *Characterization) OnsetMHz() float64 {
 		return math.Inf(1)
 	}
 	return 1e6 / (c.MaxPs + c.SetupPs)
+}
+
+// ViolationGrid tabulates a characterization's per-endpoint violation
+// probabilities over the effective clock period at 1 ps resolution: the
+// lookup table of model C's per-cycle injector and of its hazard math.
+// It depends on the characterization alone, so one grid serves every
+// model-C operating point (frequency, noise, semantics, sampling) at
+// the characterization's key and voltage. It is immutable once built.
+type ViolationGrid struct {
+	// StepPs is the grid resolution; grid index i is the effective
+	// period i*StepPs.
+	StepPs float64
+	// MaxPs is the effective period at and beyond which nothing
+	// violates: the largest arrival plus setup.
+	MaxPs float64
+	// Active lists, ascending, the endpoints whose violation
+	// probability is nonzero somewhere on the grid; the others never
+	// violate and have no column.
+	Active []int
+	// PNone[i] is the probability that no endpoint violates at grid
+	// index i.
+	PNone []float64
+	// Rows is row-major over (grid index, active endpoint):
+	// Rows[i*len(Active)+k] is the violation probability of Active[k]
+	// at grid index i, so one query reads one contiguous row.
+	Rows []float64
+}
+
+// Row returns grid index i's violation probabilities, one per active
+// endpoint in Active order.
+func (g *ViolationGrid) Row(i int) []float64 {
+	na := len(g.Active)
+	return g.Rows[i*na : (i+1)*na : (i+1)*na]
+}
+
+// Grid returns the characterization's violation grid, building it on
+// first use. It is safe for concurrent use.
+func (c *Characterization) Grid() *ViolationGrid {
+	c.grid.once.Do(func() { c.grid.g = newViolationGrid(c) })
+	return c.grid.g
+}
+
+func newViolationGrid(c *Characterization) *ViolationGrid {
+	g := &ViolationGrid{MaxPs: c.MaxPs + c.SetupPs, StepPs: 1}
+	// Violation probabilities fall with the period, so an endpoint
+	// violates somewhere on the grid exactly when it does at period 0.
+	for e, cdf := range c.CDFs {
+		if cdf.ViolationProb(0) > 0 {
+			g.Active = append(g.Active, e)
+		}
+	}
+	n := int(math.Ceil(g.MaxPs/g.StepPs)) + 2
+	g.PNone = make([]float64, n)
+	g.Rows = make([]float64, 0, n*len(g.Active))
+	for i := range g.PNone {
+		period := float64(i) * g.StepPs
+		pN := 1.0 // inactive endpoints contribute exact factors of 1
+		for _, e := range g.Active {
+			p := c.CDFs[e].ViolationProb(period)
+			g.Rows = append(g.Rows, p)
+			pN *= 1 - p
+		}
+		g.PNone[i] = pN
+	}
+	return g
 }
 
 // Config parameterizes a Characterizer.

@@ -271,3 +271,59 @@ func TestGenNamesSorted(t *testing.T) {
 		t.Errorf("GenNames not deterministic")
 	}
 }
+
+// TestViolationGridLayout pins the shared grid against the CDFs it
+// tabulates: Rows[i*na+k] is Active[k]'s violation probability at
+// period i, PNone[i] the product of survivals over every endpoint in
+// endpoint order, inactive endpoints never violate, and concurrent
+// first uses all get the one grid.
+func TestViolationGridLayout(t *testing.T) {
+	c := fixture()
+	ch, err := c.ForOp(isa.OpSfgts, nil, 0.7) // flagged unit: 33 endpoints
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := make([]*ViolationGrid, 8)
+	var wg sync.WaitGroup
+	for i := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grids[i] = ch.Grid()
+		}()
+	}
+	wg.Wait()
+	g := grids[0]
+	for _, o := range grids {
+		if o != g {
+			t.Fatal("concurrent first uses built more than one grid")
+		}
+	}
+	if g.MaxPs != ch.MaxPs+ch.SetupPs || len(g.Rows) != len(g.PNone)*len(g.Active) {
+		t.Fatalf("grid shape: MaxPs %v, %d rows over %d points × %d active", g.MaxPs, len(g.Rows), len(g.PNone), len(g.Active))
+	}
+	active := map[int]int{}
+	for k, e := range g.Active {
+		if k > 0 && e <= g.Active[k-1] {
+			t.Fatalf("Active not ascending: %v", g.Active)
+		}
+		active[e] = k
+	}
+	for i := range g.PNone {
+		period := float64(i) * g.StepPs
+		row := g.Row(i)
+		pN := 1.0
+		for e := 0; e < ch.NumEndpoints(); e++ {
+			p := ch.CDFs[e].ViolationProb(period)
+			pN *= 1 - p
+			if k, ok := active[e]; !ok && p != 0 {
+				t.Fatalf("inactive endpoint %d violates at %v ps", e, period)
+			} else if ok && row[k] != p {
+				t.Fatalf("Rows[%d*na+%d] = %v, endpoint %d CDF gives %v", i, k, row[k], e, p)
+			}
+		}
+		if g.PNone[i] != pN {
+			t.Fatalf("PNone[%d] = %v, want %v", i, g.PNone[i], pN)
+		}
+	}
+}

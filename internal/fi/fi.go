@@ -9,7 +9,7 @@
 //	           rescaled every cycle by the sampled supply noise
 //
 // A Model is immutable and shareable; NewTrial binds it to a
-// trial-private RNG, producing an injector compatible with the
+// trial-private RNG stream, producing an injector compatible with the
 // cpu.Injector interface (matched structurally, so the packages stay
 // decoupled).
 //
@@ -83,7 +83,7 @@ type Model interface {
 	// Name identifies the model in reports ("A", "B", "B+", "C").
 	Name() string
 	// NewTrial returns a fresh injector drawing randomness from rng.
-	NewTrial(rng *rand.Rand) Injector
+	NewTrial(rng *stats.TrialRand) Injector
 }
 
 // apply realizes the configured fault semantics for a set of violated
@@ -175,6 +175,41 @@ func (ns *noiseScale) at(dv float64) float64 {
 	}
 	frac := pos - float64(i)
 	return ns.table[i]*(1-frac) + ns.table[i+1]*frac
+}
+
+// safeMargin is the relative margin rejectFrom keeps between the delay
+// factor it certifies and the exact crossing, far above the few ulps of
+// rounding in the table interpolation and the period division.
+const safeMargin = 1e-9
+
+// rejectFrom returns a noise offset dvSafe such that every sampled
+// offset dv >= dvSafe yields periodPs/at(dv) >= maxPs, the effective
+// period at which nothing violates: the per-cycle injector can then
+// reject the query without interpolating or dividing. dvSafe is one
+// table node past the first node from which the whole table tail sits
+// below periodPs/maxPs (with safeMargin), so at(dv) interpolates only
+// within that tail; +Inf when no offset qualifies (or without noise,
+// where no offset is drawn), -Inf when every offset does.
+func (ns *noiseScale) rejectFrom(periodPs, maxPs float64) float64 {
+	if ns.sigma == 0 {
+		return math.Inf(1)
+	}
+	target := periodPs / maxPs * (1 - safeMargin)
+	n := len(ns.table) - 1
+	i := n + 1 // table[i:] <= target
+	for i > 0 && ns.table[i-1] <= target {
+		i--
+	}
+	lim := ns.clip * ns.sigma
+	switch {
+	case i == 0:
+		return math.Inf(-1)
+	case i > n:
+		return math.Inf(1)
+	case i == n:
+		return lim // at(lim) is table[n]; larger offsets clip to lim
+	}
+	return math.Min(lim, -lim+float64(i+1)*(2*lim)/float64(n))
 }
 
 // maxFactor returns the largest delay factor the noise can produce (the
@@ -324,13 +359,13 @@ type ModelA struct {
 func (m *ModelA) Name() string { return "A" }
 
 // NewTrial implements Model.
-func (m *ModelA) NewTrial(rng *rand.Rand) Injector {
+func (m *ModelA) NewTrial(rng *stats.TrialRand) Injector {
 	return &modelAInjector{cfg: m, rng: rng}
 }
 
 type modelAInjector struct {
 	cfg *ModelA
-	rng *rand.Rand
+	rng *stats.TrialRand
 }
 
 func (in *modelAInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag bool) (uint32, bool, int) {
@@ -341,7 +376,7 @@ func (in *modelAInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 		}
 	}
 	flagViol := isa.IsCompare(op) && in.rng.Float64() < in.cfg.Prob
-	return apply(in.cfg.Sem, in.rng, viol, flagViol, result, prev, flag, prevFlag)
+	return apply(in.cfg.Sem, in.rng.Rand, viol, flagViol, result, prev, flag, prevFlag)
 }
 
 // endpointsFor counts the endpoints one query of op exposes: the result
@@ -496,8 +531,8 @@ func (m *ModelB) FirstFIMHz() float64 {
 }
 
 // NewTrial implements Model.
-func (m *ModelB) NewTrial(rng *rand.Rand) Injector {
-	return &modelBInjector{cfg: m, rng: rng}
+func (m *ModelB) NewTrial(rng *stats.TrialRand) Injector {
+	return &modelBInjector{cfg: m, rng: rng.Rand}
 }
 
 type modelBInjector struct {
@@ -578,20 +613,22 @@ type ModelC struct {
 	tables [isa.NumOps]*opTable
 }
 
-// opTable holds the per-instruction probability grids over the effective
-// period axis (period / noise factor), at 1 ps resolution.
+// opTable is one model's view of a characterization: the violation
+// grid, shared with every other model-C instance at the same
+// characterization key and voltage, plus the state that depends on
+// this model's operating point. Ops sharing a characterization key
+// share one opTable within a model.
 type opTable struct {
-	ch     *dta.Characterization
-	nEP    int
-	maxPs  float64 // beyond this effective period nothing violates
-	stepPs float64
-	pNone  []float64
-	pBit   [][]float64 // [endpoint][grid index]
-	active []int       // endpoints with nonzero probability anywhere
+	ch  *dta.Characterization
+	g   *dta.ViolationGrid
+	nEP int
+	// dvSafe is the noise offset at and above which a query cannot
+	// inject at this model's period (noiseScale.rejectFrom).
+	dvSafe float64
 
 	// haz is the table's first-fault sampling state, built lazily on
-	// first MarginalProb/SampleAt use (tables are private to one model,
-	// so the model's operating point and sampling mode are fixed).
+	// first MarginalProb/SampleAt use; it depends on the model's
+	// operating point and sampling mode, which are fixed per opTable.
 	haz struct {
 		once sync.Once
 		// prob is the marginal per-query injection probability.
@@ -608,7 +645,7 @@ type opTable struct {
 // gridIndex maps an effective period to its probability-grid index,
 // exactly as the per-cycle injector does.
 func (t *opTable) gridIndex(eff float64) int {
-	idx := int(eff / t.stepPs)
+	idx := int(eff / t.g.StepPs)
 	if idx < 0 {
 		idx = 0
 	}
@@ -639,24 +676,31 @@ func (t *opTable) violationsAtCycle(j int, eff float64) (viol uint32, flagViol b
 	return viol, flagViol
 }
 
-// sampleSubsetAt draws the violated endpoint subset at grid index idx
-// conditioned on it being non-empty: the first violated active endpoint
-// follows its exact conditional law (the heterogeneous-probability
-// analogue of sampleSubsetUniform), the endpoints after it are
-// unconditioned Bernoulli draws.
-func (t *opTable) sampleSubsetAt(rng *rand.Rand, idx int) (viol uint32, flagViol bool) {
-	set := func(e int) {
+// violationsOf maps a hit mask over the grid's active endpoints (bit k
+// for Active[k]) to a violation set.
+func (t *opTable) violationsOf(hits uint64) (viol uint32, flagViol bool) {
+	for ; hits != 0; hits &= hits - 1 {
+		e := t.g.Active[bits.TrailingZeros64(hits)]
 		if e == circuit.FlagEndpoint {
 			flagViol = true
 		} else {
 			viol |= 1 << uint(e)
 		}
 	}
-	r := rng.Float64() * (1 - t.pNone[idx])
+	return viol, flagViol
+}
+
+// sampleSubsetAt draws the violated endpoint subset at grid index idx
+// conditioned on it being non-empty: the first violated active endpoint
+// follows its exact conditional law (the heterogeneous-probability
+// analogue of sampleSubsetUniform), the endpoints after it are
+// unconditioned Bernoulli draws.
+func (t *opTable) sampleSubsetAt(rng *rand.Rand, idx int) (viol uint32, flagViol bool) {
+	row := t.g.Row(idx)
+	r := rng.Float64() * (1 - t.g.PNone[idx])
 	acc, pref := 0.0, 1.0
 	first, lastNonzero := -1, -1
-	for k, e := range t.active {
-		p := t.pBit[e][idx]
+	for k, p := range row {
 		if p > 0 {
 			lastNonzero = k
 		}
@@ -673,16 +717,16 @@ func (t *opTable) sampleSubsetAt(rng *rand.Rand, idx int) (viol uint32, flagViol
 		// here at all.
 		first = lastNonzero
 		if first < 0 {
-			first = len(t.active) - 1
+			first = len(row) - 1
 		}
 	}
-	set(t.active[first])
-	for _, e := range t.active[first+1:] {
-		if rng.Float64() < t.pBit[e][idx] {
-			set(e)
+	hits := uint64(1) << uint(first)
+	for k := first + 1; k < len(row); k++ {
+		if rng.Float64() < row[k] {
+			hits |= 1 << uint(k)
 		}
 	}
-	return viol, flagViol
+	return t.violationsOf(hits)
 }
 
 // ModelCConfig carries model C construction parameters.
@@ -717,7 +761,8 @@ func NewModelC(ch *dta.Characterizer, cfg ModelCConfig) (*ModelC, error) {
 			if err != nil {
 				return nil, err
 			}
-			t = newOpTable(c)
+			g := c.Grid()
+			t = &opTable{ch: c, g: g, nEP: c.NumEndpoints(), dvSafe: m.noise.rejectFrom(m.periodPs, g.MaxPs)}
 			built[key] = t
 		}
 		m.tables[op] = t
@@ -725,46 +770,11 @@ func NewModelC(ch *dta.Characterizer, cfg ModelCConfig) (*ModelC, error) {
 	return m, nil
 }
 
-func newOpTable(c *dta.Characterization) *opTable {
-	t := &opTable{
-		ch:     c,
-		nEP:    c.NumEndpoints(),
-		maxPs:  c.MaxPs + c.SetupPs,
-		stepPs: 1,
-	}
-	n := int(math.Ceil(t.maxPs/t.stepPs)) + 2
-	t.pNone = make([]float64, n)
-	t.pBit = make([][]float64, t.nEP)
-	anyProb := make([]bool, t.nEP)
-	for e := 0; e < t.nEP; e++ {
-		t.pBit[e] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		period := float64(i) * t.stepPs
-		pN := 1.0
-		for e := 0; e < t.nEP; e++ {
-			p := c.CDFs[e].ViolationProb(period)
-			t.pBit[e][i] = p
-			pN *= 1 - p
-			if p > 0 {
-				anyProb[e] = true
-			}
-		}
-		t.pNone[i] = pN
-	}
-	for e, a := range anyProb {
-		if a {
-			t.active = append(t.active, e)
-		}
-	}
-	return t
-}
-
 // Name implements Model.
 func (m *ModelC) Name() string { return "C" }
 
 // NewTrial implements Model.
-func (m *ModelC) NewTrial(rng *rand.Rand) Injector {
+func (m *ModelC) NewTrial(rng *stats.TrialRand) Injector {
 	return &modelCInjector{cfg: m, rng: rng}
 }
 
@@ -775,7 +785,7 @@ func (m *ModelC) OnsetMHz(op isa.Op) float64 {
 	if t == nil {
 		return math.Inf(1)
 	}
-	return 1e6 / t.maxPs
+	return 1e6 / t.g.MaxPs
 }
 
 // injectProbAt returns the conditional probability that one query on
@@ -785,20 +795,21 @@ func (m *ModelC) OnsetMHz(op isa.Op) float64 {
 // conditioned noise sampler.
 func (m *ModelC) injectProbAt(t *opTable, mNoise float64) float64 {
 	eff := m.periodPs / mNoise
-	if eff >= t.maxPs {
+	if eff >= t.g.MaxPs {
 		return 0
 	}
 	if m.sampling == Joint {
 		return float64(t.violCycles(eff)) / float64(t.ch.Cycles)
 	}
-	return 1 - t.pNone[t.gridIndex(eff)]
+	return 1 - t.g.PNone[t.gridIndex(eff)]
 }
 
 // hazardOf lazily computes the table's first-fault sampling state: the
 // marginal injection probability (noise integrated out numerically over
 // the noiseScale table), and the sorted cycle index joint sampling
-// conditions on. Tables are private to one model instance, so a single
-// sync.Once per table suffices.
+// conditions on. An opTable belongs to one model instance (only its
+// violation grid is shared across models), so a single sync.Once per
+// table suffices.
 func (m *ModelC) hazardOf(t *opTable) float64 {
 	t.haz.once.Do(func() {
 		if m.sampling == Joint {
@@ -863,11 +874,13 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 		// use the flagged table, so the guard above can never discard
 		// the sole violation), but if a non-compare op ever shares a
 		// flagged table, keep SampleAt's >=1-flip contract by forcing
-		// the strongest result-bit endpoint.
-		best, idx := 0, t.gridIndex(eff)
-		for e := 0; e < circuit.Width; e++ {
-			if t.pBit[e][idx] > t.pBit[best][idx] {
-				best = e
+		// the strongest result-bit endpoint (the lowest-numbered one on
+		// ties; endpoints outside Active never violate).
+		row := t.g.Row(t.gridIndex(eff))
+		best, bestP := 0, 0.0
+		for k, e := range t.g.Active {
+			if e < circuit.Width && row[k] > bestP {
+				best, bestP = e, row[k]
 			}
 		}
 		viol = 1 << uint(best)
@@ -877,18 +890,39 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 
 type modelCInjector struct {
 	cfg *ModelC
-	rng *rand.Rand
+	rng *stats.TrialRand
 }
 
+// rejectBudget bounds the independent-sampling rejection loop: each
+// round succeeds with probability 1 - pNone, but degenerate tables
+// (near-zero probabilities alongside pNone < 1) could spin unboundedly,
+// so after this many rounds the highest-probability active endpoint is
+// forced instead.
+const rejectBudget = 4096
+
+// Inject is model C's per-cycle query. Its draws, in order (the
+// contract DESIGN.md's "Model-C injection hot path" spells out): one
+// NormFloat64 for the supply noise (none at sigma 0); then, for
+// independent sampling inside the vulnerable zone, one uniform against
+// the grid's pNone, and on injection up to rejectBudget rows of one
+// uniform per active endpoint until a row hits; or, for joint sampling,
+// one Intn cycle pick; finally FlipBit's flag uniform when the flag
+// endpoint violates.
 func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag bool) (uint32, bool, int) {
 	c := in.cfg
 	t := c.tables[op]
 	if t == nil {
 		return result, flag, 0
 	}
-	mNoise := c.noise.sample(in.rng)
-	eff := c.periodPs / mNoise
-	if eff >= t.maxPs {
+	eff := c.periodPs
+	if c.noise.sigma != 0 {
+		dv := in.rng.NormFloat64() * c.noise.sigma
+		if dv >= t.dvSafe {
+			return result, flag, 0 // eff >= MaxPs for certain
+		}
+		eff /= c.noise.at(dv)
+	}
+	if eff >= t.g.MaxPs {
 		return result, flag, 0
 	}
 	var viol uint32
@@ -896,41 +930,23 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 	switch c.sampling {
 	case Independent:
 		idx := t.gridIndex(eff)
-		if in.rng.Float64() < t.pNone[idx] {
+		if in.rng.Float64() < t.g.PNone[idx] {
 			return result, flag, 0
 		}
 		// At least one endpoint violates; sample the subset conditioned
-		// on non-emptiness by rejection. Each round succeeds with
-		// probability 1 - pNone, but degenerate tables (near-zero pBit
-		// entries alongside pNone < 1) could spin unboundedly, so after
-		// a fixed retry budget the highest-probability active endpoint
-		// is forced instead.
-		const rejectBudget = 4096
-		for round := 0; viol == 0 && !flagViol; round++ {
-			if round == rejectBudget {
-				best := t.active[0]
-				for _, e := range t.active {
-					if t.pBit[e][idx] > t.pBit[best][idx] {
-						best = e
-					}
-				}
-				if best == circuit.FlagEndpoint {
-					flagViol = true
-				} else {
-					viol |= 1 << uint(best)
-				}
-				break
-			}
-			for _, e := range t.active {
-				if in.rng.Float64() < t.pBit[e][idx] {
-					if e == circuit.FlagEndpoint {
-						flagViol = true
-					} else {
-						viol |= 1 << uint(e)
-					}
+		// on non-emptiness by rejection, one row of draws per round.
+		row := t.g.Row(idx)
+		hits := in.rng.BernoulliRows(row, rejectBudget)
+		if hits == 0 {
+			best := 0
+			for k, p := range row {
+				if p > row[best] {
+					best = k
 				}
 			}
+			hits = 1 << uint(best)
 		}
+		viol, flagViol = t.violationsOf(hits)
 	case Joint:
 		j := in.rng.Intn(t.ch.Cycles)
 		if t.ch.MaxPerCycle[j]+t.ch.SetupPs <= eff {
@@ -942,7 +958,7 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 	if !isa.IsCompare(op) {
 		flagViol = false
 	}
-	return apply(c.sem, in.rng, viol, flagViol, result, prev, flag, prevFlag)
+	return apply(c.sem, in.rng.Rand, viol, flagViol, result, prev, flag, prevFlag)
 }
 
 // ---------------------------------------------------------------------
@@ -955,7 +971,7 @@ type NullModel struct{}
 func (NullModel) Name() string { return "none" }
 
 // NewTrial implements Model.
-func (NullModel) NewTrial(*rand.Rand) Injector { return nullInjector{} }
+func (NullModel) NewTrial(*stats.TrialRand) Injector { return nullInjector{} }
 
 // MarginalProb implements HazardModel: the null model never injects, so
 // first-fault sampling resolves every trial to the golden run.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/dta"
 	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/timing"
@@ -99,8 +100,7 @@ func TestMarginalProbMatchesInjectFrequency(t *testing.T) {
 	ops := []isa.Op{isa.OpAdd, isa.OpMul, isa.OpSfeq}
 	for _, sampling := range []Sampling{Independent, Joint} {
 		for name, m := range hazardModels(t, FlipBit, sampling) {
-			rng := stats.NewRand(23)
-			inj := m.NewTrial(rng)
+			inj := m.NewTrial(stats.NewTrial(23))
 			for _, op := range ops {
 				p := m.MarginalProb(op)
 				if p < 0 || p > 1 {
@@ -148,8 +148,7 @@ func TestSampleAtAlwaysFlips(t *testing.T) {
 					}
 					sampleFlips /= draws
 					// Conditional mean of the per-cycle reference path.
-					rng = stats.NewRand(37)
-					inj := m.NewTrial(rng)
+					inj := m.NewTrial(stats.NewTrial(37))
 					var injFlips float64
 					injHits := 0
 					for i := 0; i < 600_000 && injHits < draws; i++ {
@@ -233,27 +232,23 @@ func TestHazardDeterministicInjection(t *testing.T) {
 }
 
 // TestModelCRejectionLoopBounded is the regression for the bounded
-// rejection loop: a degenerate table whose pNone promises injection
-// while every pBit is vanishingly small must still terminate (via the
-// retry-budget fallback) and flip the highest-probability endpoint.
+// rejection loop: a degenerate grid whose pNone promises injection
+// while every active probability is vanishingly small must still
+// terminate (via the retry-budget fallback) and flip the
+// highest-probability endpoint (the first one on ties), after consuming
+// exactly the pNone uniform and rejectBudget full rows of draws.
 func TestModelCRejectionLoopBounded(t *testing.T) {
-	tbl := &opTable{
-		nEP:    circuit.Width,
-		maxPs:  4000,
-		stepPs: 1,
-		pNone:  make([]float64, 4002),
-		pBit:   make([][]float64, circuit.Width),
-		active: []int{3, 7},
+	const n = 4002
+	g := &dta.ViolationGrid{
+		StepPs: 1,
+		MaxPs:  4000,
+		Active: []int{3, 5, 7},
+		PNone:  make([]float64, n), // pNone = 0 claims certain injection
+		Rows:   make([]float64, 3*n),
 	}
-	for e := range tbl.pBit {
-		tbl.pBit[e] = make([]float64, 4002)
-	}
-	for i := range tbl.pNone {
-		// pNone = 0 claims certain injection; the per-endpoint draws
-		// below can essentially never realize one.
-		tbl.pNone[i] = 0
-		tbl.pBit[3][i] = 1e-300
-		tbl.pBit[7][i] = 2e-300
+	for i := 0; i < n; i++ {
+		// ...which the per-endpoint draws can essentially never realize.
+		copy(g.Rows[3*i:], []float64{1e-300, 2e-300, 2e-300})
 	}
 	m := &ModelC{
 		sem:      FlipBit,
@@ -261,14 +256,23 @@ func TestModelCRejectionLoopBounded(t *testing.T) {
 		periodPs: circuit.PeriodPs(700),
 		noise:    newNoiseScale(timing.DefaultVddDelay(), 0.7, timing.NewNoise(0)),
 	}
-	m.tables[isa.OpAdd] = tbl
-	inj := m.NewTrial(stats.NewRand(47))
-	out, _, flips := inj.Inject(isa.OpAdd, 0xffffffff, 0, false, false)
+	m.tables[isa.OpAdd] = &opTable{g: g, nEP: circuit.Width, dvSafe: math.Inf(1)}
+	rng := stats.NewTrial(47)
+	out, _, flips := m.NewTrial(rng).Inject(isa.OpAdd, 0xffffffff, 0, false, false)
 	if flips != 1 {
 		t.Fatalf("degenerate table flipped %d endpoints, want the forced fallback (1)", flips)
 	}
-	if out != 0xffffffff^(1<<7) {
+	if out != 0xffffffff^(1<<5) {
 		t.Errorf("fallback did not force the highest-probability endpoint: out %08x", out)
+	}
+	ref := stats.NewTrialRand(47)
+	for i := 0; i < 1+rejectBudget*len(g.Active); i++ {
+		ref.Float64()
+	}
+	for k := 0; k < 4; k++ {
+		if a, b := rng.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("stream after the budget path is off by draw %d: %#x vs %#x", k, a, b)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 package fi
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/stats"
 )
 
 // scriptInjector flips a fixed mask at one scheduled call index and
@@ -97,7 +97,7 @@ func TestScanPlusForkPreservesRNGStream(t *testing.T) {
 	qs := queries(400)
 
 	// Reference: one uninterrupted pass.
-	refRNG := rand.New(rand.NewSource(9))
+	refRNG := stats.NewTrial(9)
 	ref := model.NewTrial(refRNG)
 	var refOuts []uint32
 	for _, q := range qs {
@@ -107,7 +107,7 @@ func TestScanPlusForkPreservesRNGStream(t *testing.T) {
 
 	// Replay: scan to the first flip, then bridge with a fork injector
 	// from an arbitrary earlier resume index, as a forked trial does.
-	rng := rand.New(rand.NewSource(9))
+	rng := stats.NewTrial(9)
 	inj := model.NewTrial(rng)
 	fork, ok := ScanTrace(inj, qs)
 	if !ok {

@@ -408,7 +408,7 @@ type pointState struct {
 // as the per-trial path would have left it), and its fork point.
 type plannedTrial struct {
 	ti   int
-	rng  *rand.Rand
+	rng  *stats.TrialRand
 	fork fi.Fork
 }
 
@@ -665,8 +665,8 @@ func (e *engine) runTrialFirstFault(m *mem.Memory, p *pointState, ti int) trialR
 	s := e.s
 	ctx := p.ctx
 	var r trialResult
-	rng := stats.NewTrialRand(stats.SubSeed(s.Seed, ti))
-	fork, ok := fi.FirstFault(p.hazModel, p.hazard, rng, ctx.golden.Queries)
+	rng := stats.NewTrial(stats.SubSeed(s.Seed, ti))
+	fork, ok := fi.FirstFault(p.hazModel, p.hazard, rng.Rand, ctx.golden.Queries)
 	if !ok {
 		// Fault-free: the trial is the golden run.
 		r.finished, r.correct = true, true
@@ -699,9 +699,11 @@ func (e *engine) runTrialFirstFault(m *mem.Memory, p *pointState, ti int) trialR
 // results are invariant under both.
 func (e *engine) plan(p *pointState, from, to int) {
 	ctx := p.ctx
+	trs := make([]*stats.TrialRand, to-from)
 	rngs := make([]*rand.Rand, to-from)
-	for i := range rngs {
-		rngs[i] = stats.NewTrialRand(stats.SubSeed(e.s.Seed, from+i))
+	for i := range trs {
+		trs[i] = stats.NewTrial(stats.SubSeed(e.s.Seed, from+i))
+		rngs[i] = trs[i].Rand
 	}
 	forks := fi.FirstFaultBatch(p.hazModel, p.hazard, rngs, ctx.golden.Queries)
 
@@ -723,7 +725,7 @@ func (e *engine) plan(p *pointState, from, to int) {
 			ch := &trialChunk{trials: make([]plannedTrial, 0, end-start)}
 			for _, bf := range forks[start:end] {
 				ch.trials = append(ch.trials, plannedTrial{
-					ti: from + bf.Trial, rng: rngs[bf.Trial], fork: bf.Fork,
+					ti: from + bf.Trial, rng: trs[bf.Trial], fork: bf.Fork,
 				})
 			}
 			chunks = append(chunks, ch)
@@ -807,8 +809,7 @@ func (e *engine) runTrialReplay(m *mem.Memory, p *pointState, ti int) trialResul
 	s := e.s
 	ctx := p.ctx
 	var r trialResult
-	rng := stats.NewTrialRand(stats.SubSeed(s.Seed, ti))
-	inj := p.model.NewTrial(rng)
+	inj := p.model.NewTrial(stats.NewTrial(stats.SubSeed(s.Seed, ti)))
 	fork, ok := fi.ScanTrace(inj, ctx.golden.Queries)
 	if !ok {
 		// Fault-free: the trial is the golden run.
@@ -836,7 +837,7 @@ func (e *engine) runTrialFull(m *mem.Memory, p *pointState, ti int) trialResult 
 	s := e.s
 	ctx := p.ctx
 	var r trialResult
-	rng := stats.NewTrialRand(stats.SubSeed(s.Seed, ti))
+	rng := stats.NewTrial(stats.SubSeed(s.Seed, ti))
 	prog, want := ctx.prog, ctx.want
 	qual := ctx.qual
 	if ctx.bench.PerTrialInputs {
@@ -1191,7 +1192,7 @@ func runSerial(spec Spec, fMHz float64) (Point, error) {
 			defer wg.Done()
 			m := newMem()
 			for t := range trialCh {
-				rng := stats.NewTrialRand(stats.SubSeed(s.Seed, t))
+				rng := stats.NewTrial(stats.SubSeed(s.Seed, t))
 				prog, want := sharedProg, sharedWant
 				qual := sharedQual
 				if s.Bench.PerTrialInputs {

@@ -155,9 +155,9 @@ type Options struct {
 	Parallel int
 	// Workers caps the mc worker pool per job (default NumCPU).
 	Workers int
-	// KeepJobs bounds retained terminal jobs (default 256); the oldest
-	// completed jobs are evicted first. Queued and running jobs are never
-	// evicted.
+	// KeepJobs bounds retained terminal jobs (default 256); the least
+	// recently submitted or deduped terminal jobs are evicted first.
+	// Queued and running jobs are never evicted.
 	KeepJobs int
 	// Now is the clock (default time.Now); tests drive the token buckets
 	// with a fake one.
@@ -258,7 +258,7 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []*Job          // insertion order, for terminal-job eviction
+	order    []*Job          // least recently submitted or deduped first, for terminal-job eviction
 	byFP     map[string]*Job // live dedup index: queued/running/done jobs
 	tenants  map[string]*tenant
 	seq      int
@@ -423,6 +423,10 @@ func (m *Manager) SubmitAs(client string, spec JobSpec) (*Job, bool, error) {
 	if j, ok := m.byFP[fp]; ok {
 		m.stats.Submitted++
 		m.stats.Deduped++
+		// A dedup hit is a use: move the job to the back of the eviction
+		// order, so the submission that just got it can still read its
+		// result after later submissions evict older terminal jobs.
+		m.touchLocked(j)
 		promote := j.state == StateQueued && laneOutranks(c.Priority, j.lane)
 		if promote {
 			j.lane = c.Priority
@@ -589,7 +593,19 @@ func (m *Manager) progressLocked(j *Job) Progress {
 	return p
 }
 
-// evictLocked drops the oldest terminal jobs beyond KeepJobs.
+// touchLocked moves a retained job to the back of m.order.
+func (m *Manager) touchLocked(j *Job) {
+	for i, o := range m.order {
+		if o == j {
+			copy(m.order[i:], m.order[i+1:])
+			m.order[len(m.order)-1] = j
+			return
+		}
+	}
+}
+
+// evictLocked drops the least recently submitted-or-deduped terminal
+// jobs beyond KeepJobs.
 func (m *Manager) evictLocked() {
 	terminal := 0
 	for _, j := range m.order {
@@ -663,7 +679,8 @@ func (m *Manager) statusLocked(j *Job) Status {
 	return st
 }
 
-// List snapshots every retained job, oldest first.
+// List snapshots every retained job, least recently submitted or
+// deduped first.
 func (m *Manager) List() []Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -38,3 +38,40 @@ func TestObserveLockedZeroSeed(t *testing.T) {
 		t.Errorf("ewmaJobCells after slow job = %v, want %v", got, want)
 	}
 }
+
+// TestDedupHitSurvivesEviction is the regression for the KeepJobs
+// eviction edge: a resubmission that dedups onto the oldest terminal
+// job must keep that job readable even when the very next submission
+// pushes the table over KeepJobs. Eviction drops the least recently
+// submitted-or-deduped terminal job, so B goes instead of A.
+func TestDedupHitSurvivesEviction(t *testing.T) {
+	m := NewManager(Options{System: system(), Backend: &fakeBackend{}, Parallel: 1, KeepJobs: 2})
+	defer m.Shutdown(context.Background())
+
+	submitDone := func(seed int64) (*Job, bool) {
+		t.Helper()
+		j, deduped, err := m.Submit(smallSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := m.Wait(context.Background(), j.ID); err != nil || st.State != StateDone {
+			t.Fatalf("job %s: state %v, err %v", j.ID, st.State, err)
+		}
+		return j, deduped
+	}
+	a, _ := submitDone(1)
+	b, _ := submitDone(2)
+	submitDone(3) // eviction runs on submission, so A, B and C are all retained
+	again, deduped := submitDone(1)
+	if !deduped || again != a {
+		t.Fatalf("resubmitting A: deduped %v onto %s, want A (%s)", deduped, again.ID, a.ID)
+	}
+	submitDone(4) // three terminal jobs over KeepJobs 2: one goes
+
+	if _, err := m.Result(a.ID); err != nil {
+		t.Fatalf("deduped job A evicted before its result was read: %v", err)
+	}
+	if _, err := m.Result(b.ID); err == nil {
+		t.Errorf("B, the least recently used terminal job, was not evicted")
+	}
+}

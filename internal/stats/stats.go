@@ -189,16 +189,115 @@ func (x *xoshiro256pp) Uint64() uint64 {
 
 func (x *xoshiro256pp) Int63() int64 { return int64(x.Uint64() >> 1) }
 
-// NewTrialRand returns a seeded *rand.Rand over a xoshiro256++ source.
-// It is the per-trial RNG constructor for Monte-Carlo fault trials,
-// where a stream is built per (master seed, trial index) pair and
-// stdlib seeding would dominate short trials. The stream differs from
-// NewRand's for the same seed, so components whose cached artifacts
-// embed NewRand-derived draws (DTA characterization) must keep NewRand.
-func NewTrialRand(seed int64) *rand.Rand {
-	src := &xoshiro256pp{}
-	src.Seed(seed)
-	return rand.New(src)
+// unitFloat maps one raw generator output to the float64 that
+// (*rand.Rand).Float64 derives from it: Int63 (the top 63 bits) scaled
+// by 2^-63. Raw values whose Int63 is at least 2^63-512 round to
+// exactly 1, which Float64 never returns; callers redraw on 1.
+func unitFloat(raw uint64) float64 { return float64(int64(raw>>1)) / (1 << 63) }
+
+// TrialRand is the per-trial random stream of Monte-Carlo fault trials:
+// the *rand.Rand view of a xoshiro256++ source, plus draws that read the
+// concrete source directly instead of through the rand.Source interface.
+// Float64 and BernoulliRows return exactly the values the embedded
+// *rand.Rand would, so any interleaving of TrialRand and *rand.Rand
+// methods consumes one and the same stream.
+type TrialRand struct {
+	*rand.Rand
+	src xoshiro256pp
+}
+
+// NewTrial returns a seeded per-trial stream. Streams are built per
+// (master seed, trial index) pair, where stdlib seeding would dominate
+// short trials. The stream differs from NewRand's for the same seed, so
+// components whose cached artifacts embed NewRand-derived draws (DTA
+// characterization) must keep NewRand.
+func NewTrial(seed int64) *TrialRand {
+	r := &TrialRand{}
+	r.src.Seed(seed)
+	r.Rand = rand.New(&r.src)
+	return r
+}
+
+// NewTrialRand returns the *rand.Rand view of NewTrial(seed), for
+// callers that need no direct source access.
+func NewTrialRand(seed int64) *rand.Rand { return NewTrial(seed).Rand }
+
+// Float64 is (*rand.Rand).Float64 on the concrete source, including its
+// redraw of values that round to 1.
+func (r *TrialRand) Float64() float64 {
+	for {
+		if f := unitFloat(r.src.Uint64()); f != 1 {
+			return f
+		}
+	}
+}
+
+// oneFrom is the smallest Int63 value whose unitFloat is 1.
+const oneFrom = 1<<63 - 512
+
+// below returns a threshold such that, for every Int63 value k below
+// oneFrom (every value Float64 does not redraw), unitFloat(k<<1) < p
+// exactly when k < below(p). unitFloat is monotone in k, so the values
+// under p form a prefix and one integer comparison decides a draw.
+func below(p float64) uint64 {
+	x := p * (1 << 63) // exact: unitFloat < p iff float64(k) < x
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= 1<<63:
+		return 1 << 63
+	case x <= 1<<53:
+		// Every integer up to 2^53 converts exactly.
+		return uint64(math.Ceil(x))
+	}
+	// x is an integer above 2^53. Integers below the midpoint between x
+	// and the float before it convert below x; the midpoint itself
+	// rounds to whichever neighbour has the even mantissa.
+	mid := (uint64(math.Nextafter(x, 0)) + uint64(x)) / 2
+	if float64(int64(mid)) >= x {
+		return mid
+	}
+	return mid + 1
+}
+
+// BernoulliRows draws rounds of len(p) uniforms, one per p[k] in order,
+// and returns the hit mask of the first round in which some uniform
+// fell below its probability (bit k set iff u_k < p[k]), or 0 after
+// rounds rounds without a hit. The stream advances exactly as len(p)
+// Float64 calls per drawn round would, redraws included. The generator
+// state stays in locals for the whole call, and each comparison runs
+// on the raw Int63 value against the threshold below(p[k]). len(p) must
+// not exceed 64.
+func (r *TrialRand) BernoulliRows(p []float64, rounds int) uint64 {
+	var buf [64]uint64
+	th := buf[:len(p)]
+	for k, pk := range p {
+		th[k] = below(pk)
+	}
+	s0, s1, s2, s3 := r.src.s0, r.src.s1, r.src.s2, r.src.s3
+	var hits uint64
+	for ; hits == 0 && rounds > 0; rounds-- {
+		for k := 0; k < len(th); k++ {
+			raw := rotl64(s0+s3, 23) + s0
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl64(s3, 45)
+			v := raw >> 1
+			if v >= oneFrom {
+				k-- // Float64 redraws values that map to 1
+				continue
+			}
+			if v < th[k] {
+				hits |= 1 << uint(k)
+			}
+		}
+	}
+	r.src.s0, r.src.s1, r.src.s2, r.src.s3 = s0, s1, s2, s3
+	return hits
 }
 
 // ClippedNormal samples a normal distribution with the given mean and

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -316,5 +317,178 @@ func TestNewTrialRandUniform(t *testing.T) {
 	// 15 dof; 99.99th percentile ~ 44. Anything near that signals breakage.
 	if chi2 > 60 {
 		t.Fatalf("chi-square %v too large: %v", chi2, counts)
+	}
+}
+
+// trialSeeds are the streams the TrialRand exactness tests sweep.
+var trialSeeds = []int64{1, 7, 42, -3, SubSeed(9, 4)}
+
+// TestTrialRandFloat64MatchesRand pins the inline Float64 against
+// (*rand.Rand).Float64 over the same source, draw for draw.
+func TestTrialRandFloat64MatchesRand(t *testing.T) {
+	for _, seed := range trialSeeds {
+		cur, ref := NewTrial(seed), NewTrialRand(seed)
+		for i := 0; i < 1<<20; i++ {
+			if a, b := cur.Float64(), ref.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: TrialRand %v, rand.Rand %v", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// TestBernoulliRowsMatchesRand pins the row kernel against the
+// per-uniform loop it replaces: rounds of one (*rand.Rand).Float64 per
+// probability, stopping after the first round with a hit. Rows mix
+// zeros, tiny, moderate and certain probabilities, lengths run 1..64,
+// and *rand.Rand draws are interleaved to show both views share one
+// stream.
+func TestBernoulliRowsMatchesRand(t *testing.T) {
+	gen := NewRand(3)
+	pick := func() float64 {
+		switch gen.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1e-3 * gen.Float64()
+		case 2:
+			return 1
+		default:
+			return gen.Float64()
+		}
+	}
+	for _, seed := range trialSeeds {
+		cur, ref := NewTrial(seed), NewTrialRand(seed)
+		for draws := 0; draws < 1<<20; {
+			p := make([]float64, 1+gen.Intn(64))
+			for k := range p {
+				p[k] = pick()
+			}
+			rounds := 1 + gen.Intn(8)
+			var want uint64
+			for r := 0; r < rounds && want == 0; r++ {
+				for k, pk := range p {
+					if ref.Float64() < pk {
+						want |= 1 << uint(k)
+					}
+					draws++
+				}
+			}
+			if got := cur.BernoulliRows(p, rounds); got != want {
+				t.Fatalf("seed %d after %d draws: row mask %#x, reference %#x", seed, draws, got, want)
+			}
+			if a, b := cur.NormFloat64(), ref.NormFloat64(); a != b {
+				t.Fatalf("seed %d after %d draws: interleaved NormFloat64 %v vs %v", seed, draws, a, b)
+			}
+		}
+	}
+}
+
+// TestUnitFloatTopBoundary pins the raw-value mapping where the
+// float64 conversion rounds up to exactly 1: Int63 values from
+// 2^63-512 on (ties round to even, onto 2^63).
+func TestUnitFloatTopBoundary(t *testing.T) {
+	const top = oneFrom // smallest Int63 that rounds to 2^63
+	for _, c := range []struct {
+		int63 uint64
+		one   bool
+	}{
+		{0, false}, {1, false}, {top - 1, false}, {top, true}, {top + 1, true}, {1<<63 - 1, true},
+	} {
+		for _, low := range []uint64{0, 1} { // the dropped low bit never matters
+			raw := c.int63<<1 | low
+			f := unitFloat(raw)
+			if (f == 1) != c.one || f > 1 || f < 0 {
+				t.Errorf("unitFloat(Int63 %#x) = %v, want one=%v", c.int63, f, c.one)
+			}
+			if want := float64(int64(c.int63)) / (1 << 63); f != want {
+				t.Errorf("unitFloat(Int63 %#x) = %v, want %v", c.int63, f, want)
+			}
+		}
+	}
+}
+
+// stateYielding returns a xoshiro256++ state whose next output is raw:
+// the output is rotl(s0+s3, 23)+s0, so s3 follows from any s0.
+func stateYielding(raw uint64) xoshiro256pp {
+	x := xoshiro256pp{s0: 0x0123456789abcdef, s1: 0x9e3779b97f4a7c15, s2: 0xdeadbeefcafef00d}
+	x.s3 = rotl64(raw-x.s0, 64-23) - x.s0
+	return x
+}
+
+// TestTrialRandRedrawsOne drives Float64 and BernoulliRows into a raw
+// value that maps to exactly 1 and checks both redraw it the way
+// (*rand.Rand).Float64 does, leaving the streams in step.
+func TestTrialRandRedrawsOne(t *testing.T) {
+	raw := uint64(1<<63-256) << 1
+	probe := stateYielding(raw)
+	if got := probe.Uint64(); got != raw || unitFloat(got) != 1 {
+		t.Fatalf("crafted state yields %#x (unit %v), want %#x mapping to 1", got, unitFloat(got), raw)
+	}
+	fresh := func() (*TrialRand, *rand.Rand) {
+		cur := &TrialRand{src: stateYielding(raw)}
+		cur.Rand = rand.New(&cur.src)
+		refSrc := stateYielding(raw)
+		return cur, rand.New(&refSrc)
+	}
+
+	cur, ref := fresh()
+	a, b := cur.Float64(), ref.Float64()
+	if a != b || a >= 1 {
+		t.Fatalf("Float64 at the top boundary: TrialRand %v, rand.Rand %v", a, b)
+	}
+	if x, y := cur.Uint64(), ref.Uint64(); x != y {
+		t.Fatalf("streams diverged after the redraw: %#x vs %#x", x, y)
+	}
+
+	cur, ref = fresh()
+	p := []float64{0.5, 0.25, 0.75}
+	var want uint64
+	for k, pk := range p {
+		if ref.Float64() < pk {
+			want |= 1 << uint(k)
+		}
+	}
+	if got := cur.BernoulliRows(p, 1); got != want {
+		t.Fatalf("BernoulliRows at the top boundary: %#x, reference %#x", got, want)
+	}
+	if x, y := cur.Uint64(), ref.Uint64(); x != y {
+		t.Fatalf("row streams diverged after the redraw: %#x vs %#x", x, y)
+	}
+}
+
+// TestBelowIsExactThreshold pins the integer thresholds of the row
+// kernel: for each probability, the Int63 values just below below(p)
+// must map under p and the values from it on must not, wherever Float64
+// does not redraw — the predicate is monotone in k, so that pins the
+// whole range. Probabilities cover the
+// exact-integer regime, the 2^53 crossover, powers of two, neighbours
+// of 1 and degenerate inputs.
+func TestBelowIsExactThreshold(t *testing.T) {
+	ps := []float64{
+		0, -1, math.NaN(), 1, 2, math.Inf(1), 5e-324, 1e-300, 1e-17, 0.5, 0.25, 1.0 / 3,
+		math.Nextafter(1, 0), math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		1.0 / (1 << 10), math.Nextafter(1.0/(1<<10), 0), math.Nextafter(1.0/(1<<10), 1),
+	}
+	gen := NewRand(11)
+	for i := 0; i < 20000; i++ {
+		// Log-uniform over [2^-70, 1), the spread of violation
+		// probabilities, plus uniform values.
+		ps = append(ps, math.Ldexp(1+gen.Float64(), -1-gen.Intn(70)), gen.Float64())
+	}
+	under := func(k uint64, p float64) bool { return unitFloat(k<<1) < p }
+	for _, p := range ps {
+		th := below(p)
+		for _, k := range []uint64{th - 2, th - 1} {
+			if k < th && k < oneFrom {
+				if !under(k, p) {
+					t.Fatalf("below(%v) = %d, but Int63 %d maps to %v >= p", p, th, k, unitFloat(k<<1))
+				}
+			}
+		}
+		for _, k := range []uint64{th, th + 1} {
+			if k < oneFrom && under(k, p) {
+				t.Fatalf("below(%v) = %d, but Int63 %d maps to %v < p", p, th, k, unitFloat(k<<1))
+			}
+		}
 	}
 }
