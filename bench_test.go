@@ -2,7 +2,9 @@
 // paper (run the cmd/paperrepro binary for full-fidelity regeneration;
 // these benches exercise the identical code paths at reduced scale so
 // they finish in seconds and can be profiled), plus ablation benches for
-// the design choices called out in DESIGN.md.
+// the design choices called out in DESIGN.md. The trial-path, sweep and
+// cold-path benches that measure a production path against its
+// reference oracle live in internal/mc (bench_test.go there).
 package repro
 
 import (
@@ -181,159 +183,6 @@ func BenchmarkAblationInstrAware(b *testing.B) {
 				b.ReportMetric(pt.FinishedPct, "finished%")
 			}
 		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Sweep-engine benches: the multi-frequency sweep through the shared
-// worker pool with cached models (BenchmarkSweepEngine) against the
-// original point-at-a-time path that rebuilds the model per point
-// (BenchmarkSweepSerial). Many frequencies with few trials each is the
-// engine's best case: the serial path can use at most trials-per-point
-// cores between barriers, the engine keeps every core busy across the
-// whole sweep.
-
-func sweepBenchInputs() (mc.Spec, []float64) {
-	spec := mc.Spec{
-		System: benchSystem(),
-		Bench:  bench.Median(),
-		Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
-		Trials: 4,
-		Seed:   1,
-	}
-	var freqs []float64
-	for f := 690.0; f <= 910; f += 20 {
-		freqs = append(freqs, f)
-	}
-	return spec, freqs
-}
-
-func BenchmarkSweepEngine(b *testing.B) {
-	spec, freqs := sweepBenchInputs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Sweep(spec, freqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepSerial(b *testing.B) {
-	spec, freqs := sweepBenchInputs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.SweepSerial(spec, freqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepAdaptive runs the same sweep under adaptive trial
-// allocation: clean and hopeless points stop at the Wilson decision,
-// boundary points run to the budget.
-func BenchmarkSweepAdaptive(b *testing.B) {
-	spec, freqs := sweepBenchInputs()
-	spec.Trials = 0
-	spec.TrialsMin = 4
-	spec.TrialsMax = 32
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Sweep(spec, freqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Trial-path benches on a sub-PoFF model-C point, where most trials
-// never inject a single fault: first-fault sampling
-// (BenchmarkPointFirstFault, the default path — one uniform draw and a
-// binary search per fault-free trial) against the golden-trace replay
-// scan (BenchmarkPointReplay — one injector query per recorded ALU
-// cycle) against full per-trial ISS execution (BenchmarkPointFull).
-// Acceptance bars: scan >= 2x over full, first-fault >= 10x over scan.
-
-func replayBenchSpec() mc.Spec {
-	return mc.Spec{
-		System: benchSystem(),
-		Bench:  bench.Median(),
-		Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
-		Trials: 16,
-		Seed:   1,
-	}
-}
-
-func BenchmarkPointFirstFault(b *testing.B) {
-	spec := replayBenchSpec()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(spec, 700); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPointReplay(b *testing.B) {
-	spec := replayBenchSpec()
-	spec.Mode = mc.ModeScan
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(spec, 700); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPointFull(b *testing.B) {
-	spec := replayBenchSpec()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.RunFull(spec, 700); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Batched-execution benches on a faulting-heavy above-PoFF model-C
-// point of the two-phase checksum kernel, where ~95% of trials fork
-// thousands of cycles past the last checkpoint: the batched default
-// (order-statistics planning plus shared-prefix walkers) against the
-// per-trial first-fault path (checkpoint restore and golden replay per
-// trial). Workers is pinned so the committed BENCH_batch.json numbers
-// are comparable across machines of different widths. Acceptance bar:
-// batched >= 5x over per-trial first-fault (scripts/bench_batch.sh
-// asserts it in CI from a fresh run).
-
-func batchBenchSpec() mc.Spec {
-	return mc.Spec{
-		System:  benchSystem(),
-		Bench:   bench.Checksum(),
-		Model:   core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
-		Trials:  200,
-		Workers: 4,
-		Seed:    1,
-	}
-}
-
-func BenchmarkChecksumBatched(b *testing.B) {
-	spec := batchBenchSpec()
-	if _, err := mc.Run(spec, 840); err != nil { // warm golden + hazard caches
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(spec, 840); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChecksumFirstFault(b *testing.B) {
-	spec := batchBenchSpec()
-	spec.Mode = mc.ModeFirstFault
-	if _, err := mc.Run(spec, 840); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(spec, 840); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

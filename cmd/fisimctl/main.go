@@ -125,7 +125,7 @@ func (c *ctl) submit(args []string) error {
 	trialsMin := fs.Int("trials-min", 0, "adaptive mode: first batch size (with -trials-max)")
 	trialsMax := fs.Int("trials-max", 0, "adaptive mode: trial budget per point")
 	seed := fs.Int64("seed", 1, "random seed")
-	mode := fs.String("mode", "auto", "trial path: auto, scan or full")
+	mode := fs.String("mode", "auto", "trial path: auto or full (first-fault and scan are aliases with identical results)")
 	priority := fs.String("priority", "interactive", "scheduling lane: interactive or batch")
 	wait := fs.Bool("wait", false, "block until the job is terminal, then print the result")
 	format := fs.String("format", "json", "result format with -wait: json or csv")

@@ -78,7 +78,7 @@ func main() {
 	trialsMin := flag.Int("trials-min", 0, "adaptive mode: first batch size (with -trials-max)")
 	trialsMax := flag.Int("trials-max", 0, "adaptive mode: trial budget per point (0 = fixed -trials)")
 	seed := flag.Int64("seed", 1, "random seed")
-	mode := flag.String("mode", "auto", "trial path: auto (batched first-fault sampling), first-fault (per-trial sampling), scan (exact golden-trace replay), full (per-trial ISS)")
+	mode := flag.String("mode", "auto", "trial path: auto (batched first-fault sampling) or full (per-trial ISS); first-fault and scan are accepted as aliases of auto and full, with identical results")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = NumCPU)")
 	dtaCycles := flag.Int("dta", 8192, "DTA characterization cycles")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (characterizations, golden traces, grid cells)")

@@ -97,14 +97,14 @@ const (
 	Joint        = fi.Joint
 )
 
-// Trial execution paths for Spec.Mode: first-fault sampling where
-// available (the default), the exact golden-trace replay scan, or full
-// per-trial ISS execution.
+// Trial estimators for Spec.Mode: batched first-fault sampling where a
+// shared golden trace applies (the default) or full per-trial ISS
+// execution. The -mode flags and the job spec's mode field also accept
+// "first-fault" (= auto) and "scan" (= full), aliases whose results are
+// identical.
 const (
-	ModeAuto       = mc.ModeAuto
-	ModeScan       = mc.ModeScan
-	ModeFull       = mc.ModeFull
-	ModeFirstFault = mc.ModeFirstFault
+	ModeAuto = mc.ModeAuto
+	ModeFull = mc.ModeFull
 )
 
 // DefaultConfig returns the paper's case-study parameters (28 nm core,
@@ -121,25 +121,14 @@ func Benchmarks() []*Benchmark { return bench.All() }
 func BenchmarkByName(name string) (*Benchmark, error) { return bench.ByName(name) }
 
 // Run evaluates one Monte-Carlo data point at the given frequency (MHz).
-// Benchmarks with fixed inputs run, by default, on the first-fault
-// sampling fast path: the model's per-query injection probability is
+// Benchmarks with fixed inputs run, by default, on batched first-fault
+// sampling: the model's per-query injection probability is
 // marginalized over the noise distribution once per (golden trace,
-// model), each trial draws its first-fault cycle with a single uniform
-// draw and a binary search, and only faulting trials fork into full
-// cycle-accurate simulation. Results are deterministic per Spec.Seed
-// and statistically equivalent to full execution; Spec.Mode selects the
-// exact paths (ModeScan, ModeFull) instead.
+// model), every trial's first-fault cycle is drawn from it, and only
+// faulting trials fork into full cycle-accurate simulation. Results are
+// deterministic per Spec.Seed and statistically equivalent to full
+// execution, which Spec.Mode = ModeFull selects instead.
 func Run(spec Spec, fMHz float64) (Point, error) { return mc.Run(spec, fMHz) }
-
-// RunScan evaluates one data point on the golden-trace replay scan —
-// the exact fast path, bit-identical to RunFull for a fixed seed and
-// the statistical reference for first-fault sampling.
-func RunScan(spec Spec, fMHz float64) (Point, error) { return mc.RunScan(spec, fMHz) }
-
-// RunFull evaluates one data point forcing full ISS execution for every
-// trial — the reference path of both fast paths (set Spec.Mode =
-// ModeFull to force it inside sweeps).
-func RunFull(spec Spec, fMHz float64) (Point, error) { return mc.RunFull(spec, fMHz) }
 
 // Sweep evaluates a configuration over a frequency list — the
 // single-axis case of the grid engine. All (frequency, trial) work

@@ -418,15 +418,11 @@ func (s *System) loadGolden(b *bench.Benchmark, inputSeed int64) (*Golden, error
 	if !ok {
 		return nil, nil
 	}
-	var tr cpu.Trace
-	if cpu.IsEncodedTrace(payload) {
-		dec, err := cpu.DecodeTrace(payload)
-		if err != nil {
-			return nil, nil
-		}
-		tr = *dec
-	} else if err := artifact.DecodeGob(payload, &tr); err != nil {
-		// Legacy gob blob from before the delta codec.
+	// A payload without the delta codec's magic (a gob blob from before
+	// the codec) is a miss like any other undecodable blob: the caller
+	// re-records and overwrites it.
+	tr, err := cpu.DecodeTrace(payload)
+	if err != nil {
 		return nil, nil
 	}
 	if tr.Status != cpu.StatusExited || len(tr.Checkpoints) == 0 {
@@ -442,8 +438,8 @@ func (s *System) loadGolden(b *bench.Benchmark, inputSeed int64) (*Golden, error
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name, err)
 	}
-	g := &Golden{Prog: p, Want: want, Trace: &tr}
-	g.Queries = queriesOf(&tr)
+	g := &Golden{Prog: p, Want: want, Trace: tr}
+	g.Queries = queriesOf(tr)
 	return g, nil
 }
 

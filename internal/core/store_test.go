@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/dta"
 )
 
@@ -197,9 +198,11 @@ func TestHazardStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// A pre-delta-codec cache holding gob-encoded traces must keep serving:
-// the loader detects the missing magic prefix and falls back to gob.
-func TestGoldenLegacyGobPayloadStillLoads(t *testing.T) {
+// A pre-delta-codec cache holding a gob-encoded trace is a miss: the
+// loader decodes only the delta format, so the golden is re-recorded
+// (bit-identical to the fresh one) and the blob overwritten with the
+// delta encoding.
+func TestGoldenLegacyGobPayloadRerecords(t *testing.T) {
 	st, err := artifact.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -229,11 +232,18 @@ func TestGoldenLegacyGobPayloadStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.GoldenRecordedCount() != 0 || warm.GoldenLoadedCount() != 1 {
-		t.Fatalf("legacy payload not served: recorded %d, loaded %d",
+	if warm.GoldenRecordedCount() != 1 || warm.GoldenLoadedCount() != 0 {
+		t.Fatalf("legacy payload not re-recorded: recorded %d, loaded %d",
 			warm.GoldenRecordedCount(), warm.GoldenLoadedCount())
 	}
 	if !reflect.DeepEqual(g1.Trace, g2.Trace) {
-		t.Error("legacy gob trace drifted on load")
+		t.Error("re-recorded trace differs from the fresh one")
+	}
+	payload, ok, err := st.Get(artifact.KindGoldenTrace, key)
+	if err != nil || !ok {
+		t.Fatalf("re-recorded golden not stored: ok=%v err=%v", ok, err)
+	}
+	if _, err := cpu.DecodeTrace(payload); err != nil {
+		t.Errorf("overwritten blob is not delta-encoded: %v", err)
 	}
 }

@@ -138,17 +138,11 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// IsEncodedTrace reports whether a payload carries the delta format's
-// magic prefix.
-func IsEncodedTrace(b []byte) bool {
-	return len(b) >= len(traceMagic) && string(b[:len(traceMagic)]) == traceMagic
-}
-
 // DecodeTrace parses a delta-encoded trace. Payloads without the magic
 // prefix (or any truncated/corrupt body) yield an error; callers treat
 // that as a cache miss.
 func DecodeTrace(b []byte) (*Trace, error) {
-	if !IsEncodedTrace(b) {
+	if len(b) < len(traceMagic) || string(b[:len(traceMagic)]) != traceMagic {
 		return nil, fmt.Errorf("cpu: not a delta-encoded trace")
 	}
 	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(b[len(traceMagic):])))

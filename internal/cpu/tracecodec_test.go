@@ -13,7 +13,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsEncodedTrace(blob) {
+	if string(blob[:len(traceMagic)]) != traceMagic {
 		t.Fatalf("encoded trace lacks the magic prefix")
 	}
 	got, err := DecodeTrace(blob)
@@ -56,13 +56,13 @@ func TestTraceCodecRejectsGarbage(t *testing.T) {
 			t.Fatalf("decoded a trace truncated to %d bytes", n)
 		}
 	}
-	// A gob payload must be recognized as not-delta-encoded.
+	// A gob payload must be rejected as not delta-encoded.
 	var g bytes.Buffer
 	if err := gob.NewEncoder(&g).Encode(tr); err != nil {
 		t.Fatal(err)
 	}
-	if IsEncodedTrace(g.Bytes()) {
-		t.Fatalf("gob payload misdetected as delta-encoded")
+	if _, err := DecodeTrace(g.Bytes()); err == nil {
+		t.Fatalf("gob payload decoded as a delta-encoded trace")
 	}
 }
 

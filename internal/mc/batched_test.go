@@ -8,17 +8,10 @@ import (
 	"repro/internal/fi"
 )
 
-// runFirstFault evaluates a point on the per-trial first-fault path —
-// the bit-identity reference for the batched default.
-func runFirstFault(spec Spec, fMHz float64) (Point, error) {
-	spec.Mode = ModeFirstFault
-	return Run(spec, fMHz)
-}
-
 // TestBatchedBitIdenticalToFirstFault is the batched path's core
 // guarantee: for a fixed seed, planning a whole cell's trials in one
 // order-statistics pass and executing the faulting remainder over
-// shared walker prefixes must reproduce the per-trial first-fault path
+// shared walker prefixes must reproduce the per-trial first-fault oracle
 // bit for bit — every Point field, across model kinds, both fault
 // semantics, both sampling modes, and benchmarks with different query
 // mixes. Frequencies sit in each model's transition region so the
@@ -52,7 +45,7 @@ func TestBatchedBitIdenticalToFirstFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %v MHz: %v", tc.name, f, err)
 			}
-			ref, err := runFirstFault(spec, f)
+			ref, err := refRun(spec, refFirstFault, f)
 			if err != nil {
 				t.Fatalf("%s at %v MHz: %v", tc.name, f, err)
 			}
@@ -95,8 +88,8 @@ func TestBatchedScheduleIndependent(t *testing.T) {
 
 // TestBatchedAdaptive runs the batched path under adaptive trial
 // allocation: every extension window is planned as its own batch, and
-// the verdict must be bit-identical to the per-trial path's, which
-// extends one trial at a time.
+// the verdict must be bit-identical to the per-trial oracle's, which
+// runs each extension through a per-point worker pool.
 func TestBatchedAdaptive(t *testing.T) {
 	spec := Spec{
 		System:    system(),
@@ -111,7 +104,7 @@ func TestBatchedAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := runFirstFault(spec, f)
+		ref, err := refRun(spec, refFirstFault, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +115,9 @@ func TestBatchedAdaptive(t *testing.T) {
 }
 
 // TestBatchedAgreesWithScanAbovePoFF closes the loop against the exact
-// replay scan at a deeply faulting operating point (above the point of
-// first failure, where almost every trial forks): batched aggregates
-// must stay inside the scan's Wilson intervals exactly like the
-// per-trial sampling path.
+// replay scan oracle at a deeply faulting operating point (above the
+// point of first failure, where almost every trial forks): batched
+// aggregates must stay inside the scan's Wilson intervals.
 func TestBatchedAgreesWithScanAbovePoFF(t *testing.T) {
 	spec := Spec{
 		System: system(),
@@ -139,7 +131,7 @@ func TestBatchedAgreesWithScanAbovePoFF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := RunScan(spec, f)
+	sc, err := refRun(spec, refScan, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,12 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -94,9 +99,8 @@ func TestFreqRange(t *testing.T) {
 
 func TestParseMode(t *testing.T) {
 	for in, want := range map[string]Mode{
-		"": ModeAuto, "auto": ModeAuto,
-		"first-fault": ModeFirstFault, "firstfault": ModeFirstFault,
-		"scan": ModeScan, "replay": ModeScan, "full": ModeFull,
+		"": ModeAuto, "auto": ModeAuto, "first-fault": ModeAuto, "firstfault": ModeAuto,
+		"scan": ModeFull, "replay": ModeFull, "full": ModeFull,
 	} {
 		got, err := ParseMode(in)
 		if err != nil || got != want {
@@ -106,4 +110,136 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("ParseMode(bogus) accepted")
 	}
+}
+
+// TestModeAliasesKeepPointsAndKeys pins every accepted -mode spelling to
+// the trial path it selected before the aliases were folded into two
+// modes: the cell key keeps that path's class (so warm stores written
+// under the old spelling keep hitting), and the Point equals that
+// path's, as computed by the reference oracle — per-trial first-fault
+// sampling for the auto spellings, the replay scan for scan/replay,
+// full execution for full. The three benchmarks cover the shared golden
+// trace, per-trial inputs, and a watchdog below the golden cycle count,
+// each at a mostly clean and a faulting frequency.
+func TestModeAliasesKeepPointsAndKeys(t *testing.T) {
+	parentPath := map[string]refKernel{
+		"": refFirstFault, "auto": refFirstFault, "first-fault": refFirstFault, "firstfault": refFirstFault,
+		"scan": refScan, "replay": refScan, "full": refFull,
+	}
+	cases := []struct {
+		name     string
+		bench    *bench.Benchmark
+		watchdog float64
+	}{
+		{"fixed", bench.Median(), 0},
+		{"per-trial-inputs", bench.MicroAdd32(), 0},
+		{"low-watchdog", bench.Median(), 0.5},
+	}
+	for _, tc := range cases {
+		for _, f := range []float64{700, 860} {
+			refs := map[refKernel]Point{}
+			for spelling, k := range parentPath {
+				mode, err := ParseMode(spelling)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := Spec{
+					System:         system(),
+					Bench:          tc.bench,
+					Model:          core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
+					Mode:           mode,
+					Trials:         6,
+					Seed:           17,
+					WatchdogFactor: tc.watchdog,
+				}
+				name := fmt.Sprintf("%s/%v MHz/%q", tc.name, f, spelling)
+				class := "exact"
+				if k == refFirstFault && !tc.bench.PerTrialInputs && spec.withDefaults().WatchdogFactor >= 1 {
+					class = "firstfault"
+				}
+				plan, err := (Grid{Spec: spec, Axes: Axes{Freqs: []float64{f}}}).PlanCells()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(plan[0].Key, "|path="+class+"|") {
+					t.Errorf("%s: cell key %q lacks path class %s", name, plan[0].Key, class)
+				}
+				got, err := Run(spec, f)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, ok := refs[k]
+				if !ok {
+					if want, err = refRun(spec, k, f); err != nil {
+						t.Fatalf("%s: reference %v: %v", name, k, err)
+					}
+					refs[k] = want
+				}
+				if got != want {
+					t.Errorf("%s: Point differs from the %v path:\ngot  %+v\nwant %+v", name, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// settles asserts that the goroutine count returns to base within a
+// deadline: every worker, resolver, committer and context watcher a
+// grid run starts must have exited once the run returns.
+func settles(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGridRunLeaksNoGoroutines cancels a full-execution grid mid-run
+// and runs a grid that ends on an invalid cell under a live context
+// (which arms the engine's context watcher); neither may leave a
+// goroutine behind.
+func TestGridRunLeaksNoGoroutines(t *testing.T) {
+	spec := Spec{
+		System: system(),
+		Bench:  bench.Median(),
+		Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
+		Mode:   ModeFull,
+		Trials: 200,
+		Seed:   1,
+	}
+	// Warm the shared system so the measured runs start no cache builds.
+	if _, err := Run(Spec{System: spec.System, Bench: spec.Bench, Model: spec.Model, Trials: 1}, 700); err != nil {
+		t.Fatal(err)
+	}
+
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	grid := Grid{Spec: spec, Axes: Axes{Freqs: []float64{700, 750, 800}}}
+	var once sync.Once
+	grid.Spec.Progress = func(Progress) { once.Do(cancel) }
+	if _, err := grid.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled full grid: err=%v, want context.Canceled", err)
+	}
+	settles(t, base)
+
+	base = runtime.NumGoroutine()
+	spec.Mode = ModeAuto
+	spec.Trials = 4
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	cells, err := (Grid{Spec: spec, Axes: Axes{Vdds: []float64{0.7, 0.3}, Freqs: []float64{700, 720}}}).RunContext(live)
+	if err == nil || len(cells) != 2 {
+		t.Fatalf("invalid-cell grid: %d cells, err=%v; want the 2-cell prefix and an error", len(cells), err)
+	}
+	settles(t, base)
 }

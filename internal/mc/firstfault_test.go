@@ -78,7 +78,7 @@ func TestFirstFaultAgreesWithScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %v MHz: %v", tc.name, f, err)
 			}
-			sc, err := RunScan(spec, f)
+			sc, err := refRun(spec, refScan, f)
 			if err != nil {
 				t.Fatalf("%s at %v MHz: %v", tc.name, f, err)
 			}
@@ -104,7 +104,7 @@ func TestFirstFaultNullModelIdenticalToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := RunScan(spec, 700)
+	sc, err := refRun(spec, refScan, 700)
 	if err != nil {
 		t.Fatal(err)
 	}

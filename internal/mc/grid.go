@@ -113,14 +113,6 @@ type Grid struct {
 	// consults it before scheduling a cell.
 	Store  *artifact.Store
 	Resume bool
-	// SerialResolve forces the pre-pipelining reference path: cells are
-	// resolved strictly one at a time in enumeration order on the
-	// calling goroutine, and the trial engine only starts after the
-	// last cell resolved. Kept (like SweepSerial and RunFull) as the
-	// differential baseline the concurrent resolver is pinned against
-	// and as the denominator of the cold-grid benchmarks; results are
-	// bit-identical either way.
-	SerialResolve bool
 }
 
 // Cells enumerates the grid's coordinates in their fixed evaluation
@@ -162,21 +154,19 @@ func (g Grid) Cells() []Cell {
 // its cells) and input seed, the resolved model spec, every
 // trial-allocation parameter, and the trial path class. Workers is
 // deliberately absent (the engine guarantees bit-identical results
-// across schedules), and the scan and full paths share the "exact"
-// class because they are bit-identical by the differential tests —
-// but first-fault sampling draws a different RNG stream, so its cells
-// must not alias theirs. Map-valued fields (the operand profile) print
-// in sorted key order, so the string is canonical.
+// across schedules). Full execution has the "exact" class, the name
+// cells stored under the bit-identical "scan" spelling also carry, so
+// they keep hitting; first-fault sampling draws a different RNG
+// stream, so its cells must not alias those. Map-valued fields (the
+// operand profile) print in sorted key order, so the string is
+// canonical.
 func cellKey(fingerprint, benchDigest string, s Spec, c Cell) string {
-	// The firstfault class matches exactly when first-fault sampling
-	// will serve the cell (batched under ModeAuto, per-trial under
-	// ModeFirstFault — bit-identical to each other by the differential
-	// tests): a shared golden run (fixed inputs) and a watchdog budget
-	// that admits it (newBenchCtx keeps the golden trace iff
-	// WatchdogFactor >= 1). Every built-in model kind is a
-	// fi.HazardModel, so the model needs no say here; a key is in any
-	// case a pure function of inputs that determine the path, so it can
-	// never alias results computed under a different law. The rng=x1
+	// The firstfault class matches exactly when batched first-fault
+	// sampling will serve the cell: ModeAuto, a shared golden run
+	// (fixed inputs) and a watchdog budget that admits it (newBenchCtx
+	// keeps the golden trace iff WatchdogFactor >= 1). A key is a pure
+	// function of the inputs that determine the path, so it can never
+	// alias results computed under a different law. The rng=x1
 	// marker names the per-trial RNG family (xoshiro256++ streams keyed
 	// by SubSeed): changing the family changes every sampled result, so
 	// cells computed under the old stdlib streams must miss. The q=v1
@@ -186,7 +176,7 @@ func cellKey(fingerprint, benchDigest string, s Spec, c Cell) string {
 	// recomputed; bump the class whenever an extractor's definition
 	// changes.
 	path := "exact"
-	if (s.Mode == ModeAuto || s.Mode == ModeFirstFault) && !c.Bench.PerTrialInputs && s.WatchdogFactor >= 1 {
+	if s.Mode == ModeAuto && !c.Bench.PerTrialInputs && s.WatchdogFactor >= 1 {
 		path = "firstfault"
 	}
 	return fmt.Sprintf("sys=%s|bench=%s|prog=%s|inputSeed=%d|model=%+v|trials=%d|tmin=%d|tmax=%d|z=%g|eps=%g|seed=%d|wf=%g|path=%s|rng=x1|q=v1",
@@ -373,7 +363,8 @@ func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
 
 // resolve materializes one cell: a resumed cell comes back as its
 // checkpointed Point, every other cell gets its (cached) model, its
-// benchmark context, and — on the sampling path — its hazard table.
+// benchmark context, and — when the context holds a golden trace — its
+// hazard table, which makes the cell run batched first-fault sampling.
 // The result is a pure function of the cell (all shared state lives in
 // singleflight caches), so concurrent resolution of any subset of the
 // grid yields exactly what serial resolution would have.
@@ -400,22 +391,16 @@ func (r *resolver) resolve(c Cell) resolvedCell {
 		return resolvedCell{err: err}
 	}
 	ps := &pointState{cell: c, ctx: bctx, model: model, key: key}
-	if (r.s.Mode == ModeAuto || r.s.Mode == ModeFirstFault) && bctx.golden != nil {
-		// First-fault sampling: fetch (or build and cache) the cell's
-		// hazard table over the shared golden trace. Every built-in
-		// model is a HazardModel; the type assertion keeps custom
-		// injectors on the scan path instead of failing.
-		if hm, ok := model.(fi.HazardModel); ok {
-			hz, err := r.s.System.Hazard(c.Bench, r.s.InputSeed, c.Model)
-			if err != nil {
-				return resolvedCell{err: err}
-			}
-			ps.hazModel, ps.hazard = hm, hz
+	if bctx.golden != nil {
+		// Fetch (or build and cache) the cell's hazard table over the
+		// shared golden trace. Hazard rejects a model that is not a
+		// fi.HazardModel, so the assertion below cannot fail.
+		hz, err := r.s.System.Hazard(c.Bench, r.s.InputSeed, c.Model)
+		if err != nil {
+			return resolvedCell{err: err}
 		}
+		ps.hazModel, ps.hazard = model.(fi.HazardModel), hz
 	}
-	// ModeAuto runs the hazard-backed cells batched; ModeFirstFault
-	// keeps the per-trial path as the differential reference.
-	ps.batched = r.s.Mode == ModeAuto && ps.hazard != nil
 	return resolvedCell{ps: ps}
 }
 
@@ -429,8 +414,8 @@ func (r *resolver) resolve(c Cell) resolvedCell {
 // later ones. Committing in enumeration order preserves the serial
 // semantics exactly: the first invalid cell still ends the grid with
 // the valid prefix's results intact, and every cell's Point is
-// bit-identical to the serial resolver's (Grid.SerialResolve), pinned
-// by the differential tests.
+// bit-identical to resolving the cells one at a time, pinned by the
+// differential tests.
 //
 // Cancellation is honoured at cell-resolution boundaries (no further
 // cells are committed) and at trial granularity inside the engine: no
@@ -452,10 +437,6 @@ func (g Grid) runCells(ctx context.Context, cells []Cell) ([]CellResult, error) 
 	}
 	r := newResolver(s, g)
 	eng := newEngine(s, g.Store)
-
-	if g.SerialResolve {
-		return g.runSerialResolve(ctx, s, cells, r, eng)
-	}
 
 	// Resolution pool: each worker pulls the next unresolved cell index
 	// and parks the outcome in that cell's slot. Slots are buffered so
@@ -495,9 +476,9 @@ func (g Grid) runCells(ctx context.Context, cells []Cell) ([]CellResult, error) 
 
 	// The committer walks the slots in enumeration order — cached cells
 	// append their checkpointed Point, live cells stream into the
-	// engine — and stops at the first resolution error or cancellation,
-	// exactly like the serial loop. Sealing the engine (deferred) is
-	// what lets the trial pool retire once the streamed cells are done.
+	// engine — and stops at the first resolution error or cancellation.
+	// Sealing the engine (deferred) is what lets the trial pool retire
+	// once the streamed cells are done.
 	results := make([]CellResult, 0, n)
 	var liveIdx []int
 	var modelErr, cancelErr error
@@ -544,43 +525,6 @@ func (g Grid) runCells(ctx context.Context, cells []Cell) ([]CellResult, error) 
 	}
 	if engErr != nil {
 		return nil, engErr
-	}
-	for i, pt := range pts {
-		results[liveIdx[i]].Point = pt
-	}
-	return results, modelErr
-}
-
-// runSerialResolve is the pre-pipelining reference: resolve every cell
-// in enumeration order on this goroutine, then run the engine over the
-// fully resolved set.
-func (g Grid) runSerialResolve(ctx context.Context, s Spec, cells []Cell, r *resolver, eng *engine) ([]CellResult, error) {
-	results := make([]CellResult, 0, len(cells))
-	var liveIdx []int
-	var modelErr error
-	for _, c := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rc := r.resolve(c)
-		if rc.err != nil {
-			modelErr = rc.err
-			break
-		}
-		if rc.cached {
-			results = append(results, CellResult{
-				Bench: c.Bench.Name, Model: c.Model, Cached: true, Point: rc.pt,
-			})
-			continue
-		}
-		eng.addPoint(rc.ps)
-		results = append(results, CellResult{Bench: c.Bench.Name, Model: c.Model})
-		liveIdx = append(liveIdx, len(results)-1)
-	}
-	eng.seal()
-	pts, err := eng.run(ctx)
-	if err != nil {
-		return nil, err
 	}
 	for i, pt := range pts {
 		results[liveIdx[i]].Point = pt

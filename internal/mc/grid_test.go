@@ -10,15 +10,14 @@ import (
 )
 
 // The grid-engine differential: a single-axis (frequency) grid must be
-// bit-identical to Sweep and to the point-serial pre-engine reference
-// for a fixed seed (pinned on the scan path, whose trials execute the
-// same law as the serial reference bit for bit).
+// bit-identical to Sweep and to the point-serial oracle for a fixed
+// seed (pinned on the full path against the oracle's full kernel).
 func TestGridSingleAxisMatchesSweepAndSerial(t *testing.T) {
 	spec := Spec{
 		System: system(),
 		Bench:  bench.Median(),
 		Model:  core.ModelSpec{Kind: "B+", Vdd: 0.7, Sigma: 0.010},
-		Mode:   ModeScan,
+		Mode:   ModeFull,
 		Trials: 24,
 		Seed:   7,
 	}
@@ -43,7 +42,7 @@ func TestGridSingleAxisMatchesSweepAndSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialPts, err := SweepSerial(spec, freqs)
+	serialPts, err := refSweep(spec, refFull, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,53 +17,38 @@
 // trial-index order, neither the schedule nor the surrounding grid has
 // any effect on a cell's numbers: a cell is bit-identical whether it is
 // evaluated alone (Run), inside a frequency sweep (Sweep — the
-// single-axis grid), or inside an arbitrary multi-axis grid, and Sweep
-// is bit-identical to the point-serial reference path (SweepSerial) for
-// a fixed seed. With an attached artifact store, completed cells
-// checkpoint to disk and a resumed grid loads them instead of
-// recomputing (see Grid).
+// single-axis grid), or inside an arbitrary multi-axis grid. With an
+// attached artifact store, completed cells checkpoint to disk and a
+// resumed grid loads them instead of recomputing (see Grid).
 //
-// Trials with fixed inputs run, by default, on the first-fault sampling
-// fast path (Spec.Mode = ModeAuto): the per-query injection probability
-// of the cell's model is marginalized over the noise distribution once
-// per (golden trace, model) into a prefix log-survival array
-// (core.System.Hazard), and each trial draws its first-fault query
-// index with a single uniform draw and a binary search. Fault-free
-// trials — the overwhelming majority below the point of first failure —
-// cost O(log n) instead of one injector query (noise sample, table
-// lookup, uniform draws) per recorded ALU cycle, turning the dominant
-// Monte-Carlo cost from O(cycles x RNG draws) into O(faults). Faulting
-// trials draw the corrupted capture conditioned on injection
-// (fi.HazardModel.SampleAt) and fork into full cycle-accurate
-// simulation from the nearest recorded checkpoint, exactly like the
-// replay scan. First-fault results are deterministic per (Seed, trial
-// index) and statistically equivalent to the scan path — same law,
-// different RNG stream — pinned by hazard-exactness unit tests and
-// Wilson-interval agreement tests in this package.
+// A cell's execution path follows from its inputs alone. Trials with
+// fixed inputs, whose watchdog budget admits the golden run, run
+// batched first-fault sampling (Spec.Mode = ModeAuto, the default):
+// the per-query injection probability of the cell's model is
+// marginalized over the noise distribution once per (golden trace,
+// model) into a prefix log-survival array (core.System.Hazard), and
+// each trial window draws every trial's first-fault query index in one
+// order-statistics pass over it (fi.FirstFaultBatch). Fault-free
+// trials — the overwhelming majority below the point of first failure
+// — complete immediately with the shared golden outcome, turning the
+// dominant Monte-Carlo cost from O(cycles x RNG draws) into O(faults).
+// Faulting trials draw the corrupted capture conditioned on injection
+// (fi.HazardModel.SampleAt) and execute grouped by fork point: a walker
+// core restores each checkpoint image once, golden-steps to the
+// successive fork queries (cpu.RunToQuery), and hands every trial a
+// copy-on-write fork (cpu.Fork) over a cloned memory. Results are
+// deterministic per (Seed, trial index).
 //
-// Under ModeAuto the sampling additionally runs batched: each trial
-// window draws every trial's first-fault index in one
-// order-statistics pass over the shared log-survival array
-// (fi.FirstFaultBatch), completes the fault-free majority immediately
-// with the shared golden outcome, and executes the faulting remainder
-// grouped by fork point — a walker core restores each checkpoint
-// image once, golden-steps to the successive fork queries
-// (cpu.RunToQuery), and hands every trial a copy-on-write fork
-// (cpu.Fork) over a cloned memory. Because each trial's RNG stream is
-// consumed in exactly the per-trial order and a fork is
-// indistinguishable from an independent restore-and-replay, batched
-// results are bit-identical per seed to ModeFirstFault, which keeps
-// the per-trial sampling path as the differential reference (pinned
-// by the batched_test.go grid across model kinds, semantics and
-// schedules).
-//
-// ModeScan forces the PR-2 golden-trace replay scan: the injector is
-// driven over every recorded ALU query (fi.ScanTrace) and only trials
-// that actually flip fork into full simulation. The scan is
-// bit-identical to full execution for a fixed seed; it is kept as the
-// exact reference for the sampling path. ModeFull (or RunFull, or
-// Spec.DisableReplay) forces full ISS execution for every trial — the
-// reference the scan is differentially tested against.
+// Every other cell — per-trial inputs (no shared golden run), a
+// watchdog below the golden cycle count, or Spec.Mode = ModeFull —
+// runs full ISS execution from the reset vector for every trial, which
+// consumes the exact per-cycle injector RNG stream. The two paths draw
+// the same law through different RNG streams: they agree statistically,
+// not bit for bit. The test suite keeps the golden-trace replay scan,
+// the per-trial first-fault path, the point-serial sweep and the serial
+// resolver as oracles: batched sampling is bit-identical to the
+// per-trial first-fault oracle, full execution to the scan oracle, and
+// both to the point-serial oracle of their law.
 //
 // Optionally, trial allocation is adaptive (TrialsMin/TrialsMax): a
 // point starts with TrialsMin trials and grows in TrialsMin batches
@@ -103,59 +88,42 @@ import (
 
 func newMem() *mem.Memory { return mem.New() }
 
-// Mode selects the per-trial execution strategy.
+// Mode selects the trial estimator.
 type Mode uint8
 
 const (
 	// ModeAuto (the default) runs batched first-fault sampling wherever
-	// the golden-trace fast paths apply (fixed benchmark inputs,
-	// watchdog at or above the golden cycle count), falling back to
-	// full execution elsewhere. Results are bit-identical per seed to
-	// ModeFirstFault and statistically equivalent to — but not
-	// bit-identical with — the scan and full paths.
+	// a shared golden trace applies (fixed benchmark inputs, watchdog at
+	// or above the golden cycle count) and full execution elsewhere.
 	ModeAuto Mode = iota
-	// ModeScan forces the golden-trace replay scan, the exact reference
-	// for first-fault sampling: bit-identical to ModeFull for a fixed
-	// seed.
-	ModeScan
-	// ModeFull forces full ISS execution for every trial.
+	// ModeFull forces full ISS execution for every trial: the exact
+	// per-cycle RNG stream, statistically equivalent to — but not
+	// bit-identical with — ModeAuto.
 	ModeFull
-	// ModeFirstFault forces the per-trial first-fault path: each trial
-	// independently draws its fork point and restores its checkpoint.
-	// It is the bit-identical reference the batched ModeAuto scheduler
-	// is differentially pinned against.
-	ModeFirstFault
 )
 
 // String names the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeScan:
-		return "scan"
-	case ModeFull:
+	if m == ModeFull {
 		return "full"
-	case ModeFirstFault:
-		return "first-fault"
 	}
 	return "auto"
 }
 
 // ParseMode maps the user-facing spelling of a trial path (CLI -mode
 // flags, server job specs) to its Mode. The empty string selects
-// ModeAuto, and the historical aliases ("first-fault", "replay") keep
-// working.
+// ModeAuto. The historical spellings stay accepted as aliases of the
+// mode whose results they always matched bit for bit: "first-fault"
+// and "firstfault" (per-trial first-fault sampling) select ModeAuto,
+// "scan" and "replay" (the golden-trace replay scan) select ModeFull.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "auto":
+	case "", "auto", "first-fault", "firstfault":
 		return ModeAuto, nil
-	case "first-fault", "firstfault":
-		return ModeFirstFault, nil
-	case "scan", "replay":
-		return ModeScan, nil
-	case "full":
+	case "full", "scan", "replay":
 		return ModeFull, nil
 	}
-	return ModeAuto, fmt.Errorf("mc: unknown trial mode %q (want auto, first-fault, scan or full)", s)
+	return ModeAuto, fmt.Errorf("mc: unknown trial mode %q (want auto or full; first-fault and scan are aliases)", s)
 }
 
 // Spec describes one experiment configuration (everything but the
@@ -183,14 +151,11 @@ type Spec struct {
 	// Seed drives all trial randomness (noise, injection, per-trial
 	// operands); every (seed, trial index) pair is reproducible.
 	Seed int64
-	// Mode selects the trial execution path: first-fault sampling where
-	// available (ModeAuto, the default), the exact replay scan
-	// (ModeScan), or full ISS execution (ModeFull). See the package
+	// Mode selects the trial estimator: batched first-fault sampling
+	// where a shared golden trace applies (ModeAuto, the default) or
+	// full ISS execution for every trial (ModeFull). See the package
 	// comment for when each applies.
 	Mode Mode
-	// DisableReplay is the historical switch for the full reference
-	// path; it forces Mode = ModeFull. See RunFull.
-	DisableReplay bool
 	// InputSeed fixes the benchmark's input data.
 	InputSeed int64
 	// WatchdogFactor bounds a faulty run at this multiple of the
@@ -208,9 +173,6 @@ type Spec struct {
 }
 
 func (s Spec) withDefaults() Spec {
-	if s.DisableReplay {
-		s.Mode = ModeFull
-	}
 	if s.Trials <= 0 {
 		s.Trials = 100
 	}
@@ -249,10 +211,10 @@ const DefaultInputSeed int64 = 42
 // trial allocation.
 func (s Spec) adaptive() bool { return s.TrialsMax > 0 }
 
-// replayableFor reports whether the golden-trace fast paths (first-fault
-// sampling and the replay scan) can serve the given benchmark under this
-// spec: inputs must be fixed (one shared golden run) and full execution
-// must not be forced.
+// replayableFor reports whether first-fault sampling over a shared
+// golden trace can serve the given benchmark under this spec: inputs
+// must be fixed (one shared golden run) and full execution must not be
+// forced.
 func (s Spec) replayableFor(b *bench.Benchmark) bool {
 	return s.Mode != ModeFull && !b.PerTrialInputs
 }
@@ -309,7 +271,7 @@ type trialResult struct {
 // benchCtx is the per-benchmark execution context shared by every grid
 // cell of that benchmark: the assembled program and golden outputs (nil
 // when the benchmark regenerates inputs per trial), the watchdog
-// budget, and — on the replay fast path — the recorded golden trace
+// budget, and — on the first-fault path — the recorded golden trace
 // with the fault-free trial outcome.
 type benchCtx struct {
 	bench    *bench.Benchmark
@@ -321,7 +283,7 @@ type benchCtx struct {
 	// qual scores a finished trial's application-level quality (bound to
 	// the spec's input seed); quality0 is the fault-free score — exactly
 	// 1.0 by the extractor contract (bit-exact outputs score 1.0), kept
-	// as a field so the fault-free short-circuits and the full path stay
+	// as a field so the fault-free short-circuit and the full path stay
 	// bit-identical by construction.
 	qual     bench.QualityFunc
 	quality0 float64
@@ -338,9 +300,9 @@ var qualityDisabled bool
 // execution the benchmark's cells share: neither the program nor the
 // watchdog depends on the operating point. PerTrialInputs benchmarks
 // rebuild inputs per trial and use the golden run only to size the
-// watchdog. Replayable benchmarks take the recorded (and cached) golden
-// trace instead, so repeated grids over one benchmark share a single
-// golden execution.
+// watchdog, as do all benchmarks under ModeFull. Replayable benchmarks
+// take the recorded (and cached) golden trace instead, so repeated
+// grids over one benchmark share a single golden execution.
 func newBenchCtx(s Spec, b *bench.Benchmark) (*benchCtx, error) {
 	ctx := &benchCtx{bench: b, qual: b.QualityAt(s.InputSeed)}
 	if s.replayableFor(b) {
@@ -377,8 +339,8 @@ type pointState struct {
 	cell  Cell
 	ctx   *benchCtx
 	model fi.Model
-	// hazModel/hazard drive the first-fault sampling path; nil when the
-	// cell runs the scan or full path instead.
+	// hazModel/hazard drive batched first-fault sampling; nil when the
+	// cell runs full execution instead.
 	hazModel fi.HazardModel
 	hazard   *fi.Hazard
 	// key is the cell's artifact-store key; completed cells are
@@ -390,22 +352,21 @@ type pointState struct {
 	target    int  // current decision horizon (batch end)
 	done      bool // no further trials will be scheduled
 
-	// Batched first-fault scheduling (ModeAuto with a hazard table).
+	// Batched first-fault scheduling (cells with a hazard table).
 	// Instead of single-trial items, the cell hands out one planning
 	// item per adaptive window — which draws every trial's first-fault
 	// query in one order-statistics pass, completes the fault-free
 	// trials with the shared golden outcome, and splits the faulting
 	// remainder into fork-sorted chunks — and then one item per chunk,
 	// each walking a shared golden prefix and forking per trial.
-	batched  bool
 	planned  int           // trial indices below this have been planned
 	planning bool          // a planning item is in flight
 	pending  []*trialChunk // planned chunks not yet handed out
 }
 
 // plannedTrial is one faulting trial of a planned batch: its trial
-// index, its RNG (already advanced past the first-fault draws, exactly
-// as the per-trial path would have left it), and its fork point.
+// index, its RNG (already advanced past its first-fault draws), and its
+// fork point.
 type plannedTrial struct {
 	ti   int
 	rng  *stats.TrialRand
@@ -427,10 +388,10 @@ type trialChunk struct {
 const maxChunk = 64
 
 // workItem is one unit handed out by the engine scheduler: a single
-// trial (the scan/full/per-trial-first-fault paths), a planning pass
-// over a batched window, or a chunk of planned faulting trials. It
-// carries the pointState pointer itself — e.pts grows while cells
-// stream in, so workers must not index it outside the engine mutex.
+// full-execution trial, a planning pass over a batched window, or a
+// chunk of planned faulting trials. It carries the pointState pointer
+// itself — e.pts grows while cells stream in, so workers must not index
+// it outside the engine mutex.
 type workItem struct {
 	p                *pointState
 	ti               int
@@ -514,7 +475,7 @@ func (e *engine) take() (workItem, bool) {
 		}
 		allDone := true
 		for _, p := range e.pts {
-			if p.batched {
+			if p.hazard != nil {
 				if len(p.pending) > 0 {
 					ch := p.pending[0]
 					p.pending = p.pending[1:]
@@ -638,55 +599,6 @@ func (e *engine) complete(p *pointState, ti int, r trialResult) {
 	}
 }
 
-// runTrial executes one trial on a worker-private memory: first-fault
-// sampling when the cell holds a hazard table, the replay scan when it
-// holds only a golden trace, full execution otherwise.
-func (e *engine) runTrial(m *mem.Memory, p *pointState, ti int) trialResult {
-	if p.hazard != nil {
-		return e.runTrialFirstFault(m, p, ti)
-	}
-	if p.ctx.golden != nil {
-		return e.runTrialReplay(m, p, ti)
-	}
-	return e.runTrialFull(m, p, ti)
-}
-
-// runTrialFirstFault decides the trial in O(log n): one uniform draw
-// inverted through the cell's prefix log-survival array yields the
-// first-fault query index (or "fault-free", in which case the trial is
-// the golden run), and the model draws the corrupted capture at that
-// query conditioned on injection. Only then does the trial fork into
-// full execution from the nearest recorded checkpoint, exactly like the
-// replay scan. The trial RNG is still derived from (Seed, trial index),
-// so results are deterministic and schedule-independent; they are
-// statistically equivalent to — not bit-identical with — the scan path,
-// whose RNG advances through every fault-free query.
-func (e *engine) runTrialFirstFault(m *mem.Memory, p *pointState, ti int) trialResult {
-	s := e.s
-	ctx := p.ctx
-	var r trialResult
-	rng := stats.NewTrial(stats.SubSeed(s.Seed, ti))
-	fork, ok := fi.FirstFault(p.hazModel, p.hazard, rng.Rand, ctx.golden.Queries)
-	if !ok {
-		// Fault-free: the trial is the golden run.
-		r.finished, r.correct = true, true
-		r.kernelCycles = ctx.golden.Trace.KernelCycles
-		r.metric = ctx.metric0
-		r.quality = ctx.quality0
-		return r
-	}
-	cp := ctx.golden.Trace.CheckpointBefore(fork.Query)
-	m.Reset()
-	c := cpu.New(m, fi.NewForkInjector(p.hazModel.NewTrial(rng), cp.EventIndex, fork), s.System.Cfg.CPU)
-	if err := c.Restore(ctx.golden.Prog, ctx.golden.Trace, cp); err != nil {
-		r.err = err
-		return r
-	}
-	c.SetWatchdog(ctx.watchdog)
-	st := c.Run()
-	return e.finishTrial(ctx, ctx.qual, c, m, ctx.golden.Prog, ctx.golden.Want, st)
-}
-
 // plan decides a whole window of a batched cell's trials in one pass:
 // every trial's first-fault query index is drawn from the shared prefix
 // log-survival array by one order-statistics sweep (fi.FirstFaultBatch,
@@ -765,7 +677,7 @@ func (e *engine) plan(p *pointState, from, to int) {
 // trial memory. Forking at query q is bit-identical to independently
 // restoring the nearest checkpoint and replaying golden values up to q
 // (pinned by cpu's TestForkMatchesRestore), so every trial's outcome
-// matches the per-trial first-fault path exactly.
+// matches an independent per-trial restore exactly.
 func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 	s := e.s
 	ctx := p.ctx
@@ -798,41 +710,8 @@ func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 	}
 }
 
-// runTrialReplay decides the trial against the golden trace: the model's
-// injector is driven over the recorded ALU activity, and only when it
-// actually flips a bit does the trial fork into full execution, resuming
-// from the nearest recorded checkpoint. Results are bit-identical to
-// runTrialFull for the same seed (the RNG stream, the injector argument
-// sequence, and the resumed architectural state all match the full run
-// exactly).
-func (e *engine) runTrialReplay(m *mem.Memory, p *pointState, ti int) trialResult {
-	s := e.s
-	ctx := p.ctx
-	var r trialResult
-	inj := p.model.NewTrial(stats.NewTrial(stats.SubSeed(s.Seed, ti)))
-	fork, ok := fi.ScanTrace(inj, ctx.golden.Queries)
-	if !ok {
-		// Fault-free: the trial is the golden run.
-		r.finished, r.correct = true, true
-		r.kernelCycles = ctx.golden.Trace.KernelCycles
-		r.metric = ctx.metric0
-		r.quality = ctx.quality0
-		return r
-	}
-	cp := ctx.golden.Trace.CheckpointBefore(fork.Query)
-	m.Reset()
-	c := cpu.New(m, fi.NewForkInjector(inj, cp.EventIndex, fork), s.System.Cfg.CPU)
-	if err := c.Restore(ctx.golden.Prog, ctx.golden.Trace, cp); err != nil {
-		r.err = err
-		return r
-	}
-	c.SetWatchdog(ctx.watchdog)
-	st := c.Run()
-	return e.finishTrial(ctx, ctx.qual, c, m, ctx.golden.Prog, ctx.golden.Want, st)
-}
-
-// runTrialFull executes one fault-injected trial from the reset vector —
-// the reference implementation the replay path must match bit for bit.
+// runTrialFull executes one fault-injected trial from the reset vector,
+// consuming the injector's exact per-cycle RNG stream.
 func (e *engine) runTrialFull(m *mem.Memory, p *pointState, ti int) trialResult {
 	s := e.s
 	ctx := p.ctx
@@ -866,7 +745,7 @@ func (e *engine) runTrialFull(m *mem.Memory, p *pointState, ti int) trialResult 
 }
 
 // finishTrial folds a completed simulation into a trialResult; shared by
-// the full and forked-replay paths. qual is the trial's quality
+// the full and forked paths. qual is the trial's quality
 // extractor — ctx.qual everywhere except PerTrialInputs trials, whose
 // extractor is rebound to the trial's input seed. Quality scoring
 // consumes no RNG, so it cannot perturb the bit-identity guarantees.
@@ -967,7 +846,7 @@ func (e *engine) run(ctx context.Context) ([]Point, error) {
 					}
 					e.runChunk(m, wm, it.p, it.chunk)
 				default:
-					e.complete(it.p, it.ti, e.runTrial(m, it.p, it.ti))
+					e.complete(it.p, it.ti, e.runTrialFull(m, it.p, it.ti))
 				}
 			}
 		}()
@@ -1104,29 +983,10 @@ func Run(spec Spec, fMHz float64) (Point, error) {
 	return pts[0], nil
 }
 
-// RunScan evaluates one data point on the golden-trace replay scan —
-// the exact fast path that drives the injector over every recorded ALU
-// query. It is bit-identical to RunFull for a fixed seed (the
-// differential test grid pins this across benchmarks, models,
-// frequencies and fault semantics) and is the statistical reference for
-// the default first-fault sampling path.
-func RunScan(spec Spec, fMHz float64) (Point, error) {
-	spec.Mode = ModeScan
-	return Run(spec, fMHz)
-}
-
-// RunFull evaluates one data point forcing full ISS execution for every
-// trial — the reference implementation both fast paths are measured
-// against, kept the way SweepSerial is kept for the sweep engine.
-func RunFull(spec Spec, fMHz float64) (Point, error) {
-	spec.DisableReplay = true
-	return Run(spec, fMHz)
-}
-
 // Sweep evaluates the configuration over a list of frequencies — the
-// single-axis (frequency) grid. Like the serial reference path it
-// returns the points of every frequency before the first invalid
-// operating point together with that point's error.
+// single-axis (frequency) grid. It returns the points of every
+// frequency before the first invalid operating point together with
+// that point's error.
 func Sweep(spec Spec, freqs []float64) ([]Point, error) {
 	pts := make([]Point, 0, len(freqs))
 	if len(freqs) == 0 {
@@ -1137,122 +997,6 @@ func Sweep(spec Spec, freqs []float64) ([]Point, error) {
 		pts = append(pts, c.Point)
 	}
 	return pts, err
-}
-
-// SweepSerial evaluates points strictly one at a time with a per-point
-// worker barrier and a freshly built (uncached) model per point — the
-// pre-engine implementation. It is kept as the reference for the
-// determinism guarantee (Sweep must match it bit-for-bit for a fixed
-// seed) and as the baseline for the sweep-engine benchmarks. Adaptive
-// allocation is not supported; Trials is always used as-is.
-func SweepSerial(spec Spec, freqs []float64) ([]Point, error) {
-	pts := make([]Point, 0, len(freqs))
-	for _, f := range freqs {
-		p, err := runSerial(spec, f)
-		if err != nil {
-			return pts, err
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
-}
-
-// runSerial is the original single-point implementation: per-point
-// golden run, per-point model construction, per-point worker pool.
-func runSerial(spec Spec, fMHz float64) (Point, error) {
-	s := spec.withDefaults()
-	ms := s.Model
-	ms.FreqMHz = fMHz
-	if ms.Profile == nil {
-		ms.Profile = s.Bench.Profile
-	}
-	model, err := s.System.NewModel(ms)
-	if err != nil {
-		return Point{}, err
-	}
-
-	// PerTrialInputs benchmarks use the golden run only to size the
-	// watchdog; the shared program and outputs stay nil for them.
-	sharedProg, sharedWant, goldenCycles, err := s.System.GoldenRun(s.Bench, s.InputSeed)
-	if err != nil {
-		return Point{}, err
-	}
-	if s.Bench.PerTrialInputs {
-		sharedProg, sharedWant = nil, nil
-	}
-	watchdog := uint64(float64(goldenCycles) * s.WatchdogFactor)
-
-	results := make([]trialResult, s.Trials)
-	sharedQual := s.Bench.QualityAt(s.InputSeed)
-	var wg sync.WaitGroup
-	trialCh := make(chan int)
-	for w := 0; w < s.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := newMem()
-			for t := range trialCh {
-				rng := stats.NewTrial(stats.SubSeed(s.Seed, t))
-				prog, want := sharedProg, sharedWant
-				qual := sharedQual
-				if s.Bench.PerTrialInputs {
-					src, w2, err := s.Bench.Build(stats.SubSeed(s.InputSeed, t))
-					if err != nil {
-						results[t].err = err
-						continue
-					}
-					p2, err := asm.Assemble(src)
-					if err != nil {
-						results[t].err = err
-						continue
-					}
-					prog, want = p2, w2
-					qual = s.Bench.QualityAt(stats.SubSeed(s.InputSeed, t))
-				}
-				m.Reset()
-				c := cpu.New(m, model.NewTrial(rng), s.System.Cfg.CPU)
-				if err := c.Load(prog); err != nil {
-					results[t].err = err
-					continue
-				}
-				c.SetWatchdog(watchdog)
-				st := c.Run()
-				r := &results[t]
-				r.fiBits = c.FIBits
-				r.kernelCycles = c.KernelCycles
-				if st != cpu.StatusExited {
-					continue
-				}
-				r.finished = true
-				got, err := s.Bench.Outputs(m, prog)
-				if err != nil {
-					r.err = err
-					continue
-				}
-				r.metric = s.Bench.Metric(got, want)
-				r.correct = true
-				for i := range got {
-					if got[i] != want[i] {
-						r.correct = false
-						break
-					}
-				}
-				if qualityDisabled {
-					if r.correct {
-						r.quality = 1
-					}
-				} else {
-					r.quality = qual(got, want)
-				}
-			}
-		}()
-	}
-	for t := 0; t < s.Trials; t++ {
-		trialCh <- t
-	}
-	close(trialCh)
-	wg.Wait()
-	return aggregate(fMHz, results)
 }
 
 // PoFF locates the point of first failure in a sweep: the lowest

@@ -155,49 +155,54 @@ func TestSweepAndPoFF(t *testing.T) {
 
 // TestSweepMatchesSerial is the determinism guarantee of the sweep
 // engine: cross-point scheduling and model caching must not change a
-// single bit of any Point relative to the point-serial, uncached path.
-// The scan mode pins exactness (the serial reference executes every
-// trial in full; first-fault sampling is only statistically
-// equivalent).
+// single bit of any Point relative to the point-serial, uncached
+// oracle running the same law — full execution against the oracle's
+// full kernel, batched sampling against its per-trial first-fault
+// kernel.
 func TestSweepMatchesSerial(t *testing.T) {
-	spec := Spec{
-		System: system(),
-		Bench:  bench.Median(),
-		Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
-		Mode:   ModeScan,
-		Trials: 8,
-		Seed:   7,
-	}
-	freqs := []float64{700, 800, 860, 920}
-	par, err := Sweep(spec, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := SweepSerial(spec, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(ser) {
-		t.Fatalf("parallel %d points, serial %d", len(par), len(ser))
-	}
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Errorf("point %d differs:\nparallel %+v\nserial   %+v", i, par[i], ser[i])
+	for _, tc := range []struct {
+		mode Mode
+		ref  refKernel
+	}{{ModeFull, refFull}, {ModeAuto, refFirstFault}} {
+		spec := Spec{
+			System: system(),
+			Bench:  bench.Median(),
+			Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
+			Mode:   tc.mode,
+			Trials: 8,
+			Seed:   7,
 		}
-	}
-	// Per-trial-input benchmarks exercise the other golden-run path.
-	spec.Bench = bench.MicroAdd32()
-	par, err = Sweep(spec, freqs[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err = SweepSerial(spec, freqs[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Errorf("micro point %d differs:\nparallel %+v\nserial   %+v", i, par[i], ser[i])
+		freqs := []float64{700, 800, 860, 920}
+		par, err := Sweep(spec, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser, err := refSweep(spec, tc.ref, freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(par) != len(ser) {
+			t.Fatalf("%v: parallel %d points, serial %d", tc.mode, len(par), len(ser))
+		}
+		for i := range par {
+			if par[i] != ser[i] {
+				t.Errorf("%v point %d differs:\nparallel %+v\nserial   %+v", tc.mode, i, par[i], ser[i])
+			}
+		}
+		// Per-trial-input benchmarks exercise the other golden-run path.
+		spec.Bench = bench.MicroAdd32()
+		par, err = Sweep(spec, freqs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser, err = refSweep(spec, tc.ref, freqs[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range par {
+			if par[i] != ser[i] {
+				t.Errorf("%v micro point %d differs:\nparallel %+v\nserial   %+v", tc.mode, i, par[i], ser[i])
+			}
 		}
 	}
 }

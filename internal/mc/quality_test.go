@@ -93,11 +93,13 @@ func TestQualityScanMatchesFull(t *testing.T) {
 			Seed:   21,
 		}
 		for _, f := range []float64{700, 880} {
-			sc, err := RunScan(spec, f)
+			sc, err := refRun(spec, refScan, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fu, err := RunFull(spec, f)
+			full := spec
+			full.Mode = ModeFull
+			fu, err := Run(full, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +136,7 @@ func TestQualityFirstFaultAgreesWithScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := RunScan(spec, f)
+			sc, err := refRun(spec, refScan, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,9 +153,9 @@ func TestQualityFirstFaultAgreesWithScan(t *testing.T) {
 // TestQualityScheduleIndependent pins the quality distribution into the
 // engine's schedule-independence guarantee: worker count must not
 // change a single bit of any Point, quality fields included, on both
-// the batched sampling path and the exact scan path.
+// the batched sampling path and the full-execution path.
 func TestQualityScheduleIndependent(t *testing.T) {
-	for _, mode := range []Mode{ModeAuto, ModeScan} {
+	for _, mode := range []Mode{ModeAuto, ModeFull} {
 		spec := Spec{
 			System: system(),
 			Bench:  bench.Median(),

@@ -8,13 +8,14 @@ import (
 	"repro/internal/fi"
 )
 
-// TestReplayMatchesFullGrid is the differential guarantee of the
-// golden-trace replay scan (ModeScan — first-fault sampling, the
-// default, is only statistically equivalent and has its own agreement
-// tests): across every application benchmark, every fault model, three
-// frequencies spanning the clean / transition / failing regions, and
-// both fault semantics, the scanned points must be bit-identical to the
-// full-execution reference (RunFull) for a fixed seed.
+// TestReplayMatchesFullGrid pins full execution (ModeFull) against the
+// golden-trace replay scan oracle, which consumes the same RNG stream
+// but forks from a checkpoint only at the first flip (first-fault
+// sampling, the default, is only statistically equivalent and has its
+// own agreement tests): across every application benchmark, every
+// fault model, three frequencies spanning the clean / transition /
+// failing regions, and both fault semantics, the points must be
+// bit-identical for a fixed seed.
 func TestReplayMatchesFullGrid(t *testing.T) {
 	sta := system().STALimitMHz(0.7)
 	freqs := []float64{700, 800, 870}
@@ -40,23 +41,23 @@ func TestReplayMatchesFullGrid(t *testing.T) {
 					System: system(),
 					Bench:  b,
 					Model:  ms,
-					Mode:   ModeScan,
+					Mode:   ModeFull,
 					Trials: 4,
 					Seed:   11,
 				}
 				name := b.Name + "/" + m.name + "/" + sem.String()
-				replayed, err := Sweep(spec, freqs)
+				full, err := Sweep(spec, freqs)
 				if err != nil {
-					t.Fatalf("%s: replay sweep: %v", name, err)
+					t.Fatalf("%s: full sweep: %v", name, err)
+				}
+				replayed, err := refSweep(spec, refScan, freqs)
+				if err != nil {
+					t.Fatalf("%s: reference scan: %v", name, err)
 				}
 				for i, f := range freqs {
-					full, err := RunFull(spec, f)
-					if err != nil {
-						t.Fatalf("%s: full run at %v MHz: %v", name, f, err)
-					}
-					if replayed[i] != full {
+					if replayed[i] != full[i] {
 						t.Errorf("%s at %v MHz differs:\nreplay %+v\nfull   %+v",
-							name, f, replayed[i], full)
+							name, f, replayed[i], full[i])
 					}
 				}
 			}
@@ -66,7 +67,8 @@ func TestReplayMatchesFullGrid(t *testing.T) {
 
 // TestReplayMatchesFullMicro pins the per-trial-inputs escape hatch: for
 // microkernels there is no shared golden run, the engine must fall back
-// to full execution, and Run/RunFull are trivially identical.
+// to full execution under either mode, and both must match the oracle's
+// full path.
 func TestReplayMatchesFullMicro(t *testing.T) {
 	spec := Spec{
 		System: system(),
@@ -80,36 +82,41 @@ func TestReplayMatchesFullMicro(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunFull(spec, f)
+		full := spec
+		full.Mode = ModeFull
+		b, err := Run(full, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Errorf("micro point at %v MHz differs:\nrun  %+v\nfull %+v", f, a, b)
+		ref, err := refRun(spec, refScan, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || a != ref {
+			t.Errorf("micro point at %v MHz differs:\nrun  %+v\nfull %+v\nref  %+v", f, a, b, ref)
 		}
 	}
 }
 
-// TestReplayAdaptiveMatchesFull checks the replay scan under adaptive
-// trial allocation: batch growth decisions see the same per-trial
-// results, so the adaptive trajectory and the final point must match the
-// full path exactly.
+// TestReplayAdaptiveMatchesFull checks the replay scan oracle under
+// adaptive trial allocation: batch growth decisions see the same
+// per-trial results, so the adaptive trajectory and the final point
+// must match the full path exactly.
 func TestReplayAdaptiveMatchesFull(t *testing.T) {
 	spec := Spec{
 		System:    system(),
 		Bench:     bench.Median(),
 		Model:     core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
-		Mode:      ModeScan,
+		Mode:      ModeFull,
 		TrialsMin: 6,
 		TrialsMax: 48,
 		Seed:      3,
 	}
 	freqs := []float64{700, 840, 900}
-	fast, err := Sweep(spec, freqs)
+	fast, err := refSweep(spec, refScan, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.DisableReplay = true
 	full, err := Sweep(spec, freqs)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +129,9 @@ func TestReplayAdaptiveMatchesFull(t *testing.T) {
 }
 
 // TestReplayLowWatchdogFallsBack pins the guard rail: a watchdog budget
-// below the golden cycle count cannot use the replay shortcut (fault-free
-// trials must still watchdog), and both paths agree on the outcome.
+// below the golden cycle count cannot use the golden-trace shortcut
+// (fault-free trials must still watchdog), so the default falls back to
+// full execution and agrees with ModeFull and the first-fault oracle.
 func TestReplayLowWatchdogFallsBack(t *testing.T) {
 	spec := Spec{
 		System:         system(),
@@ -137,12 +145,18 @@ func TestReplayLowWatchdogFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunFull(spec, 700)
+	fullSpec := spec
+	fullSpec.Mode = ModeFull
+	full, err := Run(fullSpec, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast != full {
-		t.Errorf("low-watchdog point differs:\nreplay %+v\nfull   %+v", fast, full)
+	ref, err := refRun(spec, refFirstFault, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != full || fast != ref {
+		t.Errorf("low-watchdog point differs:\nauto %+v\nfull %+v\nref  %+v", fast, full, ref)
 	}
 	if fast.FinishedPct != 0 {
 		t.Errorf("half-budget watchdog let %v%% of golden runs finish", fast.FinishedPct)

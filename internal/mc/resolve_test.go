@@ -25,7 +25,7 @@ func resolveSpec(s *core.System) Spec {
 
 // TestPipelinedResolverMatchesSerial pins the concurrent resolver
 // bit-identical to the serial reference path: the same grid, resolved
-// serially (SerialResolve) and pipelined at several worker counts,
+// serially (refSerialResolve) and pipelined at several worker counts,
 // must produce the same []CellResult — Points, Cached flags, order.
 func TestPipelinedResolverMatchesSerial(t *testing.T) {
 	axes := Axes{
@@ -33,8 +33,7 @@ func TestPipelinedResolverMatchesSerial(t *testing.T) {
 		Kinds:   []string{"B+", "C"},
 		Freqs:   []float64{700, 720},
 	}
-	ref := Grid{Spec: resolveSpec(system()), Axes: axes, SerialResolve: true}
-	want, err := ref.Run()
+	want, err := refSerialResolve(Grid{Spec: resolveSpec(system()), Axes: axes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +62,7 @@ func TestPipelinedResolverErrorPrefix(t *testing.T) {
 	// Enumeration order is Vdd-major: (0.7, 700), (0.7, 720), then the
 	// invalid (0.3, 700) ends the grid at index 2.
 	axes := Axes{Vdds: []float64{0.7, 0.3}, Freqs: []float64{700, 720}}
-	ref := Grid{Spec: resolveSpec(system()), Axes: axes, SerialResolve: true}
-	want, wantErr := ref.Run()
+	want, wantErr := refSerialResolve(Grid{Spec: resolveSpec(system()), Axes: axes})
 	if wantErr == nil {
 		t.Fatal("serial reference accepted the sub-threshold cell")
 	}
@@ -101,7 +99,7 @@ func TestConcurrentColdSubmissionsDedupe(t *testing.T) {
 
 	// Reference: one cold serial submission, counters recorded.
 	refSys := freshSystem()
-	want, err := (Grid{Spec: resolveSpec(refSys), Axes: axes, SerialResolve: true}).Run()
+	want, err := refSerialResolve(Grid{Spec: resolveSpec(refSys), Axes: axes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestCanonicalizeFingerprint(t *testing.T) {
 	for name, mut := range map[string]func(*JobSpec){
 		"seed":   func(s *JobSpec) { s.Seed = 2 },
 		"trials": func(s *JobSpec) { s.Trials = 7 },
-		"mode":   func(s *JobSpec) { s.Mode = "scan" },
+		"mode":   func(s *JobSpec) { s.Mode = "full" },
 		"sigma":  func(s *JobSpec) { s.Sigmas = []float64{0.011} },
 	} {
 		s := smallSpec(1)
@@ -268,6 +268,87 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 	}
 }
 
+// TestModeAliasDedupsOntoFull pins the historical mode spellings onto
+// the canonical modes: "scan" and "replay" canonicalize to "full" (and
+// "first-fault" to "auto"), so a scan submission dedups onto a live full
+// job — one execution — and a scan job run on its own returns exactly
+// the full job's result bytes.
+func TestModeAliasDedupsOntoFull(t *testing.T) {
+	for alias, want := range map[string]string{
+		"scan": "full", "replay": "full", "full": "full",
+		"first-fault": "auto", "firstfault": "auto", "": "auto",
+	} {
+		spec := smallSpec(1)
+		spec.Mode = alias
+		c, err := spec.Canonicalize()
+		if err != nil || c.Mode != want {
+			t.Errorf("Canonicalize(mode %q) = %q, %v; want %q", alias, c.Mode, err, want)
+		}
+	}
+
+	submit := func(url string, spec JobSpec) SubmitResponse {
+		t.Helper()
+		blob, _ := json.Marshal(spec)
+		resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr SubmitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	result := func(url, id, format string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/jobs/" + id + "/result?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("result %s: %s: %s", id, resp.Status, body)
+		}
+		return body
+	}
+	full := smallSpec(41)
+	full.Mode = "full"
+	full.Trials = 60
+	scan := full
+	scan.Mode = "scan"
+
+	m := NewManager(Options{System: system()})
+	defer m.Shutdown(context.Background())
+	ts := httptest.NewServer(Handler(m))
+	defer ts.Close()
+	fj := submit(ts.URL, full)
+	sj := submit(ts.URL, scan)
+	if !sj.Deduped || sj.ID != fj.ID {
+		t.Fatalf("scan submission: deduped=%v id=%s, want dedup onto full job %s", sj.Deduped, sj.ID, fj.ID)
+	}
+	if st := waitDone(t, m, fj.ID); st.State != StateDone || st.Spec.Mode != "full" {
+		t.Fatalf("full job: state %s, mode %q", st.State, st.Spec.Mode)
+	}
+	if st := m.Stats(); st.Executed != 1 {
+		t.Errorf("scan + full submissions executed %d jobs, want 1", st.Executed)
+	}
+
+	// A scan job on a fresh daemon computes the same bytes on its own.
+	m2 := NewManager(Options{System: system()})
+	defer m2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(Handler(m2))
+	defer ts2.Close()
+	alone := submit(ts2.URL, scan)
+	waitDone(t, m2, alone.ID)
+	for _, format := range []string{"json", "csv"} {
+		if !bytes.Equal(result(ts.URL, fj.ID, format), result(ts2.URL, alone.ID, format)) {
+			t.Errorf("%s result of a scan job differs from the full job's", format)
+		}
+	}
+}
+
 // TestWarmResubmitServesFromStore pins the cross-process dedup layer:
 // a fresh daemon (new System, new Manager) over a warm artifact store
 // answers a repeated grid job from checkpointed cells without
@@ -321,7 +402,7 @@ func TestCancelRunning(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	spec := smallSpec(7)
-	spec.Mode = "scan" // per-cycle scan: slow enough to catch mid-run
+	spec.Mode = "full" // full execution: slow enough to catch mid-run
 	spec.Trials = 4000
 	spec.Freqs = []float64{700}
 	j, _, err := m.Submit(spec)
@@ -368,7 +449,7 @@ func TestCancelQueued(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	blocker := smallSpec(11)
-	blocker.Mode = "scan"
+	blocker.Mode = "full"
 	blocker.Trials = 4000
 	blocker.Freqs = []float64{700}
 	jb, _, err := m.Submit(blocker)
@@ -543,7 +624,7 @@ func TestQueueFull(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	blocker := smallSpec(41)
-	blocker.Mode = "scan"
+	blocker.Mode = "full"
 	blocker.Trials = 4000
 	blocker.Freqs = []float64{700}
 	jb, _, err := m.Submit(blocker)

@@ -56,8 +56,11 @@ type JobSpec struct {
 	Seed      int64 `json:"seed,omitempty"`
 	InputSeed int64 `json:"input_seed,omitempty"`
 	// Mode selects the trial path: "auto" (batched first-fault
-	// sampling, the default everywhere including the server),
-	// "first-fault" (per-trial sampling), "scan", or "full".
+	// sampling, the default everywhere including the server) or "full"
+	// (per-trial ISS execution). "first-fault"/"firstfault" and
+	// "scan"/"replay" are accepted as aliases of "auto" and "full",
+	// whose results they match exactly; canonicalization rewrites them,
+	// so an alias dedups onto its canonical mode.
 	Mode string `json:"mode,omitempty"`
 	// Semantics is the fault semantics: "flip-bit" (default) or
 	// "stale-capture". Sampling is model C's endpoint sampling:

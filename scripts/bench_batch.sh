@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Tracks the batched-execution perf trajectory: runs the batched default
-# and the per-trial first-fault path on the same faulting-heavy
-# above-PoFF model-C point of the checksum kernel (~95% of trials fork
-# thousands of cycles past the last checkpoint), captures CPU and
-# allocation profiles of the batched run, and writes the results plus
-# the headline speedup ratio as BENCH_batch.json at the repo root. The
-# batched/first-fault ratio is the acceptance metric of the batched
-# engine (>= 5x); CI asserts it from a fresh run and uploads the
-# profiles as artifacts.
+# and the per-trial first-fault oracle (internal/mc benchmarks) on the
+# same faulting-heavy above-PoFF model-C point of the checksum kernel
+# (~95% of trials fork thousands of cycles past the last checkpoint),
+# captures CPU and allocation profiles of the batched run, and writes
+# the results plus the headline speedup ratio as BENCH_batch.json at
+# the repo root. The batched/first-fault ratio is the acceptance metric
+# of the batched engine (>= 5x); CI asserts it from a fresh run and
+# uploads the profiles as artifacts.
 #
 #   ./scripts/bench_batch.sh            # default -benchtime 3x
 #   BENCHTIME=10x ./scripts/bench_batch.sh
@@ -29,7 +29,7 @@ go test -run '^$' \
   -benchtime "$benchtime" -count 1 -benchmem \
   -cpuprofile "$profdir/batch_cpu.pprof" \
   -memprofile "$profdir/batch_mem.pprof" \
-  . | tee "$raw"
+  ./internal/mc/ | tee "$raw"
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ {

@@ -3,9 +3,9 @@
 # resolver: runs 8 concurrent cold submissions of one multi-benchmark,
 # multi-model grid deduped through the singleflight caches of a shared
 # System against the same 8 submissions each paying its builds
-# privately on the pre-pipelining serial path, plus the lone-submission
-# pipelined/serial pair, captures CPU and allocation profiles of the
-# cold runs, and writes the results plus the headline speedup ratio as
+# privately on the serial-resolve oracle (internal/mc benchmarks), plus
+# the lone-submission pipelined/serial pair, captures CPU and allocation
+# profiles of the cold runs, and writes the results plus the headline speedup ratio as
 # BENCH_cold.json at the repo root. The deduped/duplicated ratio is the
 # acceptance metric of the pipelined cold path (>= 3x); CI asserts it
 # from a fresh run and uploads the profiles as artifacts. The per-op
@@ -33,7 +33,7 @@ go test -run '^$' \
   -benchtime "$benchtime" -count 1 -benchmem \
   -cpuprofile "$profdir/cold_cpu.pprof" \
   -memprofile "$profdir/cold_mem.pprof" \
-  . | tee "$raw"
+  ./internal/mc/ | tee "$raw"
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Seeds the perf trajectory: runs the golden-trace replay benchmarks
-# (BenchmarkPointReplay vs BenchmarkPointFull) and the artifact-store
-# grid benchmark (BenchmarkGridWarmVsCold) and writes the results as
+# Seeds the perf trajectory: runs the golden-trace replay benchmarks of
+# internal/mc (the BenchmarkPointReplay scan oracle vs BenchmarkPointFull)
+# and the root package's artifact-store grid benchmark
+# (BenchmarkGridWarmVsCold) and writes the results as
 # BENCH_grid.json at the repo root, so the cold/warm and replay/full
 # ratios are tracked across PRs.
 #
@@ -16,7 +17,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
   -bench 'BenchmarkPointReplay$|BenchmarkPointFull$|BenchmarkGridWarmVsCold' \
-  -benchtime "$benchtime" -count 1 . | tee "$raw"
+  -benchtime "$benchtime" -count 1 . ./internal/mc/ | tee "$raw"
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tracks the trial-path perf trajectory: runs the three trial-path
-# benchmarks on the same sub-PoFF model-C point — first-fault sampling
-# (the default), the golden-trace replay scan, and full ISS execution —
+# benchmarks of internal/mc on the same sub-PoFF model-C point — batched
+# first-fault sampling (the default), the golden-trace replay scan
+# oracle, and full ISS execution (ModeFull) —
 # and writes the results plus the headline speedup ratios as
 # BENCH_scan.json at the repo root. The first-fault/scan ratio is the
 # acceptance metric of the hazard-table engine (>= 10x).
@@ -17,7 +18,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
   -bench 'BenchmarkPointFirstFault$|BenchmarkPointReplay$|BenchmarkPointFull$' \
-  -benchtime "$benchtime" -count 1 . | tee "$raw"
+  -benchtime "$benchtime" -count 1 ./internal/mc/ | tee "$raw"
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ {
