@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,7 +318,7 @@ func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) 
 			c.loaded.Add(1)
 			return
 		}
-		e.ch = c.run(key, voltage)
+		e.ch = c.run(key, voltage, runtime.GOMAXPROCS(0))
 		c.computed.Add(1)
 		c.save(e.ch)
 	})
@@ -363,7 +364,7 @@ func (c *Characterizer) load(key Key, voltage float64) (*Characterization, bool)
 		return nil, false
 	}
 	var w charWire
-	if err := artifact.DecodeGob(payload, &w); err != nil {
+	if err := artifact.DecodeGob(payload, &w); err != nil || !c.fits(&w, key, voltage) {
 		return nil, false
 	}
 	ch := &Characterization{
@@ -380,6 +381,31 @@ func (c *Characterizer) load(key Key, voltage float64) (*Characterization, bool)
 		ch.CDFs[e] = timing.NewCDF(w.Arrivals[e], w.SetupPs)
 	}
 	return ch, true
+}
+
+// fits reports whether a decoded blob has exactly the shape a
+// characterization of key at voltage under c's config has: the right
+// coordinate and cycle count, one full row per endpoint of the unit, and
+// a MaxPs that is the maximum of MaxPerCycle. A blob that decodes but
+// does not fit is a miss, never a wrong answer.
+func (c *Characterizer) fits(w *charWire, key Key, voltage float64) bool {
+	mV := int(math.Round(voltage * 1000))
+	if circuit.UnitKind(w.Unit) != key.Unit || w.Gen != key.Gen ||
+		int(math.Round(w.Voltage*1000)) != mV || w.Cycles != c.Cfg.Cycles ||
+		len(w.Arrivals) != numEndpoints(c.ALU.Units[key.Unit]) ||
+		len(w.MaxPerCycle) != w.Cycles {
+		return false
+	}
+	for _, row := range w.Arrivals {
+		if len(row) != w.Cycles {
+			return false
+		}
+	}
+	maxPs := 0.0
+	for _, v := range w.MaxPerCycle {
+		maxPs = max(maxPs, v)
+	}
+	return w.MaxPs == maxPs
 }
 
 // save persists a freshly computed characterization; write failures are
@@ -409,69 +435,97 @@ func (c *Characterizer) ForOp(op isa.Op, p Profile, voltage float64) (*Character
 	return c.At(KeyFor(op, p), voltage)
 }
 
-// run performs one characterization.
-func (c *Characterizer) run(key Key, voltage float64) *Characterization {
+// run performs one characterization, its cycles split into contiguous
+// shards simulated in parallel, one gates.Sim per shard.
+//
+// Sharding is exact: a timed Cycle leaves every node at the functional
+// value of its inputs, so a cycle's arrivals depend only on its own
+// operand pair and the one before it. A shard settles on the pair
+// before its first cycle and reproduces the serial run's rows
+// bit for bit, whatever the shard count.
+func (c *Characterizer) run(key Key, voltage float64, shards int) *Characterization {
 	gen := gens[key.Gen]
 	u := c.ALU.Units[key.Unit]
 	factor := c.Model.Factor(voltage)
 	delays := u.Netlist.DelaysAt(factor)
-	sim := gates.NewSim(u.Netlist, delays)
-	setup := c.ALU.Config.SetupPs * factor
+	cycles := c.Cfg.Cycles
 
-	nEP := circuit.Width
-	if u.HasFlag() {
-		nEP = circuit.NumEndpoints
-	}
 	ch := &Characterization{
 		Key:         key,
 		Voltage:     voltage,
-		Cycles:      c.Cfg.Cycles,
-		Arrivals:    make([][]float64, nEP),
-		MaxPerCycle: make([]float64, c.Cfg.Cycles),
-		SetupPs:     setup,
+		Cycles:      cycles,
+		Arrivals:    make([][]float64, numEndpoints(u)),
+		MaxPerCycle: make([]float64, cycles),
+		SetupPs:     c.ALU.Config.SetupPs * factor,
 	}
 	for e := range ch.Arrivals {
-		ch.Arrivals[e] = make([]float64, c.Cfg.Cycles)
+		ch.Arrivals[e] = make([]float64, cycles)
 	}
 
 	// Seed depends on the key and voltage so characterizations are
-	// independent but reproducible.
+	// independent but reproducible. Operand pair 0 is the settled
+	// state; pair c+1 is applied in cycle c.
 	seed := c.Cfg.Seed
 	seed = stats.SubSeed(seed, int(key.Unit)*1000+ck32(key.Gen))
 	seed = stats.SubSeed(seed, int(math.Round(voltage*1000)))
 	rng := stats.NewRand(seed)
+	ops := make([][2]uint32, cycles+1)
+	for i := range ops {
+		ops[i][0], ops[i][1] = gen(rng)
+	}
 
-	in := circuit.PackInputs(nil, 0, 0)
-	a0, b0 := gen(rng)
-	sim.Settle(circuit.PackInputs(in, a0, b0))
-	for cyc := 0; cyc < c.Cfg.Cycles; cyc++ {
-		a, b := gen(rng)
-		sim.Cycle(circuit.PackInputs(in, a, b))
-		worst := 0.0
-		for e := 0; e < circuit.Width; e++ {
-			arr := sim.Arrival(u.Endpoint[e])
-			ch.Arrivals[e][cyc] = arr
-			if arr > worst {
-				worst = arr
-			}
-		}
-		if u.HasFlag() {
-			arr := sim.Arrival(u.Flag)
-			ch.Arrivals[circuit.FlagEndpoint][cyc] = arr
-			if arr > worst {
-				worst = arr
-			}
-		}
-		ch.MaxPerCycle[cyc] = worst
+	shards = max(1, min(shards, cycles))
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			ch.simulate(u, delays, ops, lo, hi)
+		}(s*cycles/shards, (s+1)*cycles/shards)
+	}
+	wg.Wait()
+
+	for _, worst := range ch.MaxPerCycle {
 		if worst > ch.MaxPs {
 			ch.MaxPs = worst
 		}
 	}
-	ch.CDFs = make([]*timing.CDF, nEP)
+	ch.CDFs = make([]*timing.CDF, len(ch.Arrivals))
 	for e := range ch.CDFs {
-		ch.CDFs[e] = timing.NewCDF(ch.Arrivals[e], setup)
+		ch.CDFs[e] = timing.NewCDF(ch.Arrivals[e], ch.SetupPs)
 	}
 	return ch
+}
+
+// simulate fills cycles [lo, hi) of ch's Arrivals and MaxPerCycle from
+// the operand pairs ops on a Sim of its own.
+func (ch *Characterization) simulate(u *circuit.Unit, delays []float64, ops [][2]uint32, lo, hi int) {
+	sim := gates.NewSim(u.Netlist, delays)
+	in := circuit.PackInputs(nil, ops[lo][0], ops[lo][1])
+	sim.Settle(in)
+	for cyc := lo; cyc < hi; cyc++ {
+		sim.Cycle(circuit.PackInputs(in, ops[cyc+1][0], ops[cyc+1][1]))
+		worst := 0.0
+		for e, row := range ch.Arrivals {
+			node := u.Flag
+			if e < circuit.Width {
+				node = u.Endpoint[e]
+			}
+			arr := sim.Arrival(node)
+			row[cyc] = arr
+			worst = max(worst, arr)
+		}
+		ch.MaxPerCycle[cyc] = worst
+	}
+}
+
+// numEndpoints is a unit's endpoint count: the result bits, plus the
+// flag when the unit drives it.
+func numEndpoints(u *circuit.Unit) int {
+	if u.HasFlag() {
+		return circuit.NumEndpoints
+	}
+	return circuit.Width
 }
 
 // ck32 hashes a generator name into a small int for seed derivation.

@@ -137,3 +137,92 @@ func TestStoreKeySeparatesConfigs(t *testing.T) {
 		t.Error("characterization with a different DTA seed was served from the other config's blob")
 	}
 }
+
+// A blob that decodes but has the wrong shape for its key — another
+// coordinate, another cycle count, a missing endpoint, a short row, a
+// MaxPs that is not the maximum of MaxPerCycle — must miss: the
+// characterizer recomputes, returns the correct result and overwrites
+// the blob with a good one.
+func TestMisshapedBlobRecomputes(t *testing.T) {
+	key := Key{Unit: circuit.UnitCompare, Gen: "u16"} // flagged: 33 endpoints
+	want := newSmallCharacterizer().RunSerial(key, 0.7)
+	good := func() charWire {
+		w := charWire{
+			Unit: int(key.Unit), Gen: key.Gen, Voltage: 0.7, Cycles: want.Cycles,
+			MaxPerCycle: append([]float64(nil), want.MaxPerCycle...),
+			SetupPs:     want.SetupPs, MaxPs: want.MaxPs,
+		}
+		for _, row := range want.Arrivals {
+			w.Arrivals = append(w.Arrivals, append([]float64(nil), row...))
+		}
+		return w
+	}
+	cases := map[string]func(w *charWire){
+		"unit":          func(w *charWire) { w.Unit = int(circuit.UnitSub) },
+		"gen":           func(w *charWire) { w.Gen = "u32" },
+		"voltage":       func(w *charWire) { w.Voltage = 0.8 },
+		"cycles":        func(w *charWire) { w.Cycles--; w.MaxPerCycle = w.MaxPerCycle[:w.Cycles] },
+		"endpoints":     func(w *charWire) { w.Arrivals = w.Arrivals[:circuit.Width] },
+		"short row":     func(w *charWire) { w.Arrivals[7] = w.Arrivals[7][:w.Cycles-1] },
+		"short max row": func(w *charWire) { w.MaxPerCycle = w.MaxPerCycle[1:] },
+		"max":           func(w *charWire) { w.MaxPs /= 2 },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			st, err := artifact.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newSmallCharacterizer()
+			c.SetStore(st)
+			w := good()
+			mutate(&w)
+			payload, err := artifact.EncodeGob(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), payload); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.At(key, 0.7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ComputedCount() != 1 || c.LoadedCount() != 0 {
+				t.Fatalf("computed %d, loaded %d: mis-shaped blob was served", c.ComputedCount(), c.LoadedCount())
+			}
+			if !reflect.DeepEqual(got.Arrivals, want.Arrivals) || !reflect.DeepEqual(got.MaxPerCycle, want.MaxPerCycle) ||
+				got.MaxPs != want.MaxPs || got.SetupPs != want.SetupPs {
+				t.Fatal("recomputed characterization differs from the reference")
+			}
+			warm := newSmallCharacterizer()
+			warm.SetStore(st)
+			if _, err := warm.At(key, 0.7); err != nil {
+				t.Fatal(err)
+			}
+			if warm.LoadedCount() != 1 {
+				t.Error("recomputed characterization did not replace the mis-shaped blob")
+			}
+		})
+	}
+	// The unmutated blob is a hit.
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newSmallCharacterizer()
+	c.SetStore(st)
+	payload, err := artifact.EncodeGob(good())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.At(key, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if c.LoadedCount() != 1 || c.ComputedCount() != 0 {
+		t.Errorf("well-shaped blob missed: computed %d, loaded %d", c.ComputedCount(), c.LoadedCount())
+	}
+}

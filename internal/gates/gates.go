@@ -320,15 +320,30 @@ type Trans struct {
 	V bool
 }
 
+// gate is the simulator's packed per-node record: everything the timed
+// propagation reads about one node, in one cache-friendly struct.
+type gate struct {
+	kind Kind
+	nf   uint8    // fanin count
+	lut  uint8    // truth table: bit m is Eval(kind) on fanin bits m
+	in   [3]int32 // fanins
+	d    float64  // delay (ps)
+}
+
 // Sim is a reusable timed simulator for one netlist. It is not safe for
-// concurrent use; create one per goroutine.
+// concurrent use; create one per goroutine. Sims over the same netlist
+// and delay vector are independent and may run in parallel.
+//
+// One Cycle's transitions live in a single arena in node order: node
+// g's waveform is tr[off[g]:off[g+1]], so fanin waveforms are read from
+// memory written moments earlier and nothing is allocated per cycle.
 type Sim struct {
-	nl    *Netlist
-	delay []float64
-	val   []bool // stable values after the last Cycle/Settle
-	old   []bool
-	arr   []float64
-	wf    [][]Trans
+	g   []gate
+	nIn int
+	val []uint8 // stable values (0/1) after the last Cycle/Settle
+	old []uint8 // values before the last Cycle
+	tr  []Trans
+	off []int32 // len NumNodes+1
 	// Transitions counts output transitions processed by the last
 	// Cycle call, a measure of switching activity.
 	Transitions int
@@ -340,157 +355,184 @@ func NewSim(nl *Netlist, delays []float64) *Sim {
 	if len(delays) != nl.NumNodes() {
 		panic("gates: delay vector length mismatch")
 	}
+	n := nl.NumNodes()
 	s := &Sim{
-		nl:    nl,
-		delay: delays,
-		val:   make([]bool, nl.NumNodes()),
-		old:   make([]bool, nl.NumNodes()),
-		arr:   make([]float64, nl.NumNodes()),
-		wf:    make([][]Trans, nl.NumNodes()),
+		g:   make([]gate, n),
+		nIn: len(nl.Inputs),
+		val: make([]uint8, n),
+		old: make([]uint8, n),
+		off: make([]int32, n+1),
+	}
+	for i, k := range nl.Kind {
+		gt := gate{kind: k, nf: uint8(k.fanins()), in: nl.Fanin[i], d: delays[i]}
+		for m := 0; m < 8; m++ {
+			if Eval(k, m&1 != 0, m&2 != 0, m&4 != 0) {
+				gt.lut |= 1 << m
+			}
+		}
+		s.g[i] = gt
 	}
 	// Establish a consistent initial state (constants settled).
-	s.Settle(make([]bool, len(nl.Inputs)))
+	s.Settle(make([]bool, s.nIn))
 	return s
+}
+
+// faninBits packs the values of g's fanins in vals into a truth-table
+// index.
+func (g *gate) faninBits(vals []uint8) uint8 {
+	var m uint8
+	for i := 0; i < int(g.nf); i++ {
+		m |= vals[g.in[i]] << i
+	}
+	return m
 }
 
 // Settle applies an input vector (in Netlist.Inputs order) and propagates
 // it functionally with all arrivals reset to zero. Use it to establish
 // the pre-cycle state.
 func (s *Sim) Settle(inputs []bool) {
-	if len(inputs) != len(s.nl.Inputs) {
+	if len(inputs) != s.nIn {
 		panic("gates: input vector length mismatch")
 	}
 	in := 0
-	for g := range s.nl.Kind {
-		k := s.nl.Kind[g]
-		switch k {
-		case KindInput:
-			s.val[g] = inputs[in]
+	for i := range s.g {
+		g := &s.g[i]
+		if g.kind == KindInput {
+			s.val[i] = b2u(inputs[in])
 			in++
-		default:
-			f := s.nl.Fanin[g]
-			var a, b, c bool
-			switch k.fanins() {
-			case 1:
-				a = s.val[f[0]]
-			case 2:
-				a, b = s.val[f[0]], s.val[f[1]]
-			case 3:
-				a, b, c = s.val[f[0]], s.val[f[1]], s.val[f[2]]
-			}
-			s.val[g] = Eval(k, a, b, c)
+			continue
 		}
-		s.arr[g] = 0
+		s.val[i] = g.lut >> g.faninBits(s.val) & 1
 	}
+	s.tr = s.tr[:0]
+	clear(s.off)
 }
 
 // Cycle applies a new input vector at t=0 and performs the timed
 // propagation. Afterwards Value and Arrival report the settled value and
 // the final-transition time of every node.
+//
+// Every node ends the cycle at the functional value of the new inputs
+// (inertial rejection removes pulses but never changes a node's final
+// value), so a cycle's arrivals depend on the previous and the new input
+// vector alone.
 func (s *Sim) Cycle(inputs []bool) {
-	if len(inputs) != len(s.nl.Inputs) {
+	if len(inputs) != s.nIn {
 		panic("gates: input vector length mismatch")
 	}
-	copy(s.old, s.val)
-	s.Transitions = 0
+	s.old, s.val = s.val, s.old
+	s.tr = s.tr[:0]
 	in := 0
-	for g := range s.nl.Kind {
-		k := s.nl.Kind[g]
-		wf := s.wf[g][:0]
-		switch k {
+	for i := range s.g {
+		g := &s.g[i]
+		start := int32(len(s.tr))
+		s.off[i] = start
+		switch g.kind {
 		case KindInput:
-			nv := inputs[in]
+			nv := b2u(inputs[in])
 			in++
-			if nv != s.old[g] {
-				wf = append(wf, Trans{0, nv})
-				s.val[g] = nv
-				s.arr[g] = 0
+			if nv != s.old[i] {
+				s.tr = append(s.tr, Trans{0, nv == 1})
+			}
+			s.val[i] = nv
+		default: // constants have no fanins and stay quiet
+			s.propagate(g, start)
+			if n := int32(len(s.tr)); n > start {
+				s.val[i] = b2u(s.tr[n-1].V)
 			} else {
-				s.val[g] = nv
-				s.arr[g] = 0
+				s.val[i] = s.old[i]
 			}
-		case KindConst0, KindConst1:
-			// No activity.
-		default:
-			wf = s.propagate(g, wf)
-		}
-		s.wf[g] = wf
-		if n := len(wf); n > 0 {
-			s.val[g] = wf[n-1].V
-			s.arr[g] = wf[n-1].T
-			s.Transitions += n
-		} else {
-			s.val[g] = s.old[g]
-			if k == KindInput {
-				s.val[g] = inputs[in-1]
-			}
-			s.arr[g] = 0
 		}
 	}
+	s.off[len(s.g)] = int32(len(s.tr))
+	s.Transitions = len(s.tr)
 }
 
-// propagate computes the output waveform of gate g from its fanin
-// waveforms using transport delay with inertial pulse rejection.
-func (s *Sim) propagate(g int, out []Trans) []Trans {
-	k := s.nl.Kind[g]
-	nf := k.fanins()
-	f := s.nl.Fanin[g]
-	d := s.delay[g]
-
-	// Current input values start at the pre-cycle stable values.
-	var cur [3]bool
-	var idx [3]int
-	for i := 0; i < nf; i++ {
-		cur[i] = s.old[f[i]]
-	}
-	initial := Eval(k, cur[0], cur[1], cur[2])
-
-	tailV := func() bool {
-		if len(out) > 0 {
-			return out[len(out)-1].V
+// propagate appends to the arena the output waveform of gate g, whose
+// waveform starts at arena index start, computed from its fanin
+// waveforms using transport delay with inertial pulse rejection. A gate
+// whose fanins are all quiet has an empty waveform.
+func (s *Sim) propagate(g *gate, start int32) {
+	// pos/end delimit each fanin's pending transitions and head holds
+	// the time of the next one, +Inf once none is left (and for
+	// unused fanin slots).
+	var pos, end [3]int32
+	inf := math.Inf(1)
+	head := [3]float64{inf, inf, inf}
+	quiet := true
+	for i := 0; i < int(g.nf); i++ {
+		f := g.in[i]
+		pos[i], end[i] = s.off[f], s.off[f+1]
+		if pos[i] < end[i] {
+			head[i] = s.tr[pos[i]].T
+			quiet = false
 		}
-		return initial
 	}
-
+	if quiet {
+		return
+	}
+	// Input values start at the pre-cycle stable values.
+	m := g.faninBits(s.old)
+	tail := g.lut >> m & 1 // the output's current value
+	d := g.d
+	tr := s.tr
 	for {
-		// Find the earliest pending transition among fanins.
-		t := math.Inf(1)
-		for i := 0; i < nf; i++ {
-			w := s.wf[f[i]]
-			if idx[i] < len(w) && w[idx[i]].T < t {
-				t = w[idx[i]].T
-			}
+		// The earliest pending transition among fanins.
+		t := head[0]
+		if head[1] < t {
+			t = head[1]
 		}
-		if math.IsInf(t, 1) {
+		if head[2] < t {
+			t = head[2]
+		}
+		if t == inf {
 			break
 		}
 		// Apply every transition at exactly t.
-		for i := 0; i < nf; i++ {
-			w := s.wf[f[i]]
-			for idx[i] < len(w) && w[idx[i]].T == t {
-				cur[i] = w[idx[i]].V
-				idx[i]++
+		for i := range head {
+			for head[i] == t {
+				m = m&^(1<<i) | b2u(tr[pos[i]].V)<<i
+				pos[i]++
+				head[i] = inf
+				if pos[i] < end[i] {
+					head[i] = tr[pos[i]].T
+				}
 			}
 		}
-		v := Eval(k, cur[0], cur[1], cur[2])
-		if v == tailV() {
+		v := g.lut >> m & 1
+		if v == tail {
 			continue
 		}
+		// Either way the output's value becomes v: the waveform
+		// alternates, so dropping its last transition restores v too.
+		tail = v
 		tt := t + d
-		if n := len(out); n > 0 && tt-out[n-1].T < d {
+		if n := int32(len(tr)); n > start && tt-tr[n-1].T < d {
 			// Inertial rejection: the previous pulse is narrower
 			// than the gate delay; it never appears at the output.
-			out = out[:n-1]
+			tr = tr[:n-1]
 		} else {
-			out = append(out, Trans{tt, v})
+			tr = append(tr, Trans{tt, v == 1})
 		}
 	}
-	return out
+	s.tr = tr
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Value returns the settled value of a node after the last Cycle/Settle.
-func (s *Sim) Value(node int32) bool { return s.val[node] }
+func (s *Sim) Value(node int32) bool { return s.val[node] == 1 }
 
 // Arrival returns the final-transition time of a node in the last Cycle
 // (0 when the node did not toggle).
-func (s *Sim) Arrival(node int32) float64 { return s.arr[node] }
+func (s *Sim) Arrival(node int32) float64 {
+	if a, b := s.off[node], s.off[node+1]; b > a {
+		return s.tr[b-1].T
+	}
+	return 0
+}
