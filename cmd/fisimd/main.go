@@ -69,7 +69,6 @@ func main() {
 	workerURLs := flag.String("workers", "", "comma-separated worker base URLs; jobs execute on this cluster instead of in-process")
 	leaseCells := flag.Int("lease-cells", 4, "cluster mode: cells per lease")
 	leaseTimeout := flag.Duration("lease-timeout", 5*time.Minute, "cluster mode: per-lease deadline before reassignment")
-	cellDelay := flag.Duration("cell-delay", 0, "worker mode: emulated per-cell service latency (benchmarks only)")
 	parallel := flag.Int("parallel", 1, "jobs executed concurrently")
 	queueCap := flag.Int("queue", 64, "bounded job queue capacity (across lanes)")
 	batchCap := flag.Int("batch-queue", 0, "batch lane queue bound (0 = -queue)")
@@ -101,7 +100,7 @@ func main() {
 		if *workerURLs != "" {
 			log.Fatal("-worker and -workers are mutually exclusive: a node is a worker or a coordinator, not both")
 		}
-		w := &cluster.Worker{System: sys, Store: store, Workers: *trialWorkers, CellDelay: *cellDelay, Logf: log.Printf}
+		w := &cluster.Worker{System: sys, Store: store, Workers: *trialWorkers, Logf: log.Printf}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
 		log.Printf("worker listening on %s", *addr)

@@ -1,11 +1,11 @@
 // Command fisimload drives an open-loop, mixed-priority load test
 // against a running fisimd daemon and writes the measured report as
-// JSON — scripts/bench_serve.sh uses it to produce BENCH_serve.json,
-// the committed service-layer benchmark CI asserts SLOs against.
+// JSON; internal/loadgen's TestSaturationSLO asserts the service-layer
+// SLOs on the same flood in-process.
 //
 //	fisimload -addr http://localhost:8023 \
 //	    -interactive-rate 4 -interactive-jobs 20 \
-//	    -batch-rate 20 -batch-jobs 60 -o BENCH_serve.json
+//	    -batch-rate 20 -batch-jobs 60 -o serve.json
 //
 // Both lanes submit tiny single-cell grids whose seeds differ per
 // submission (so nothing dedups away unless -dedup is set), interactive

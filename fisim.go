@@ -197,11 +197,8 @@ type (
 	JobProgress = server.Progress
 	// JobBackend executes canonical job specs for a JobManager; the
 	// default runs grids on the in-process worker pool, and tests swap
-	// in fakes (see ChaosBackend).
+	// in fakes.
 	JobBackend = server.Backend
-	// ChaosBackend wraps a JobBackend with injected delays and mid-grid
-	// faults for resilience testing.
-	ChaosBackend = server.ChaosBackend
 	// TenantConfig is one client's admission limits (rate, burst,
 	// active-job quota).
 	TenantConfig = server.TenantConfig

@@ -20,7 +20,7 @@ import (
 // phase — thousands of cycles past the last checkpoint. That makes the
 // kernel the stress case for batched fault-trial execution (the shared
 // golden prefix is long and the per-trial remainder short), and the
-// benchmark the regression gate in scripts/bench_batch.sh builds on.
+// benchmark the batched-execution gate in scripts/gates.sh builds on.
 const (
 	ChecksumWords    = 1024
 	ChecksumSumWords = 96

@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,6 +79,26 @@ func startWorkers(t *testing.T, n int, cellDelay time.Duration) []string {
 	return urls
 }
 
+// settles asserts that the goroutine count returns to base within a
+// deadline: every goroutine the test's coordinator and workers started
+// must have exited.
+func settles(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // csvOf renders cell results exactly as GET /result?format=csv would.
 func csvOf(t *testing.T, cells []mc.CellResult) []byte {
 	t.Helper()
@@ -106,20 +128,30 @@ func runBackend(t *testing.T, b server.Backend, spec server.JobSpec) []mc.CellRe
 // TestClusterShapesBitIdentical is the differential anchor: the
 // in-process backend, a 1-worker cluster, and a 4-worker cluster
 // produce byte-identical CSV documents for the same spec and seed.
+//
+// It is also the cluster speedup gate: 4 workers must finish the grid
+// at least 2.5x faster than 1 in wall-clock time. Every worker sleeps
+// cellDelay per computed cell, a fixed per-node capacity, so the ratio
+// measures lease distribution and tail stealing rather than CPU
+// parallelism and holds on hosts with fewer cores than workers.
 func TestClusterShapesBitIdentical(t *testing.T) {
+	const cellDelay = 250 * time.Millisecond
 	spec := gridSpec(11)
 	want := csvOf(t, runBackend(t, server.GridBackend{System: system()}, spec))
 	if len(bytes.TrimSpace(want)) == 0 {
 		t.Fatal("reference CSV is empty")
 	}
 
+	wall := make(map[int]time.Duration)
 	for _, workers := range []int{1, 4} {
-		urls := startWorkers(t, workers, 0)
+		urls := startWorkers(t, workers, cellDelay)
 		coord, err := New(system(), nil, urls, Config{LeaseCells: 2, Client: testClient()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		start := time.Now()
 		got := csvOf(t, runBackend(t, coord, spec))
+		wall[workers] = time.Since(start)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d-worker cluster CSV differs from in-process run:\n got: %s\nwant: %s", workers, got, want)
 		}
@@ -130,6 +162,11 @@ func TestClusterShapesBitIdentical(t *testing.T) {
 		if st.WorkersLive != workers {
 			t.Errorf("%d workers: WorkersLive = %d", workers, st.WorkersLive)
 		}
+	}
+	speedup := wall[1].Seconds() / wall[4].Seconds()
+	t.Logf("4w/1w speedup %.2fx (1 worker %v, 4 workers %v)", speedup, wall[1], wall[4])
+	if speedup < 2.5 {
+		t.Errorf("4-worker speedup %.2fx below the 2.5x bar (1 worker %v, 4 workers %v)", speedup, wall[1], wall[4])
 	}
 }
 
@@ -165,6 +202,45 @@ func TestCoordinatorResume(t *testing.T) {
 	if got := csvOf(t, warm); !bytes.Equal(got, cold) {
 		t.Errorf("warm CSV differs from cold:\n got: %s\nwant: %s", got, cold)
 	}
+}
+
+// TestCoordinatorCancelLeaksNoGoroutines cancels a job mid-lease: Run
+// returns the cancellation, and once the workers' servers close, every
+// pull loop, lease stream and worker handler the job started has
+// exited.
+func TestCoordinatorCancelLeaksNoGoroutines(t *testing.T) {
+	system() // build the shared stack outside the measured window
+	base := runtime.NumGoroutine()
+	var urls []string
+	var servers []*httptest.Server
+	for range 2 {
+		ts := httptest.NewServer((&Worker{System: system(), CellDelay: 200 * time.Millisecond}).Handler())
+		servers = append(servers, ts)
+		urls = append(urls, ts.URL)
+	}
+	coord, err := New(system(), nil, urls, Config{LeaseCells: 4, Client: testClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := gridSpec(18).Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The first accepted cell leaves both 4-cell leases in flight.
+	_, err = coord.Run(ctx, canon, func(p mc.Progress) {
+		if p.DonePoints > 0 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: err=%v, want context.Canceled", err)
+	}
+	for _, ts := range servers {
+		ts.Close()
+	}
+	settles(t, base)
 }
 
 // abortingWorker wraps a worker handler: the first lease stream is cut

@@ -43,9 +43,10 @@ type Worker struct {
 	// Workers caps the mc trial pool per leased cell (0 = NumCPU).
 	Workers int
 	// CellDelay, when positive, sleeps after each computed (non-cached)
-	// cell before reporting it — a fixed per-node service latency used
-	// by the cluster benchmarks to emulate node capacity on machines
-	// with fewer cores than workers. Zero in production.
+	// cell before reporting it — a fixed per-node service latency that
+	// TestClusterShapesBitIdentical (the 4-vs-1-worker speedup gate) and
+	// TestWorkStealing use to emulate node capacity on machines with
+	// fewer cores than workers. Zero in production.
 	CellDelay time.Duration
 	// Logf, when set, receives one line per lease.
 	Logf func(format string, args ...any)

@@ -10,8 +10,8 @@
 // is measured rather than hidden by backpressure on the generator
 // itself. Per-lane latency percentiles (time-to-start, time-to-done,
 // from the server's own timestamps), shed/throughput counters and the
-// lost-accepted-jobs invariant come out as a Report — the numbers
-// BENCH_serve.json pins and the chaos tests assert SLOs against.
+// lost-accepted-jobs invariant come out as a Report — the numbers the
+// saturation tests assert SLOs against.
 package loadgen
 
 import (
@@ -114,8 +114,7 @@ type LaneReport struct {
 	ThroughputPerSec float64     `json:"throughput_jobs_per_sec"` // terminal jobs / wall time
 }
 
-// Report is one Run's outcome; it is what scripts/bench_serve.sh
-// serializes into BENCH_serve.json.
+// Report is one Run's outcome; cmd/fisimload prints it as JSON.
 type Report struct {
 	DurationSec float64      `json:"duration_sec"`
 	Lanes       []LaneReport `json:"lanes"`

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -46,84 +47,140 @@ func (b stubBackend) Run(ctx context.Context, spec server.JobSpec, onProgress fu
 	return nil, nil
 }
 
-// spec builds the i-th tiny submission for a lane; seeds make each one
-// unique unless the caller wants dedup.
-func spec(priority string, base int64) func(i int) map[string]any {
+// spec builds the i-th single-cell submission for a lane (the shape
+// cmd/fisimload submits); seeds make each one unique.
+func spec(priority string, base int64, trials int) func(i int) map[string]any {
 	return func(i int) map[string]any {
 		return map[string]any{
-			"benches": []string{"median"}, "freqs": []float64{700},
-			"trials": 2, "seed": base + int64(i), "priority": priority,
+			"benches": []string{"median"}, "models": []string{"A"},
+			"freqs": []float64{900}, "vdds": []float64{0.7},
+			"trials": trials, "seed": base + int64(i), "priority": priority,
 		}
 	}
 }
 
 // TestSaturationSLO is the headline chaos/load invariant: a batch flood
-// against a small queue with a flaky backend sheds honestly (429 with
-// Retry-After, or displaced jobs reported terminal), never loses an
-// accepted job, and keeps interactive time-to-start bounded.
+// against a small queue sheds honestly (429 with Retry-After, or
+// displaced jobs reported terminal), never loses an accepted job, and
+// keeps interactive time-to-start bounded. The stub case floods a
+// flaky fixed-duration backend; the grid case is the service-layer SLO
+// run: real trials behind one runner, with the batch tenant throttled
+// through a fisimd -tenants table so the daemon must shed on any host.
 func TestSaturationSLO(t *testing.T) {
-	m := server.NewManager(server.Options{
-		System:   system(),
-		Parallel: 1,
-		QueueCap: 4,
-		Backend:  &server.ChaosBackend{Inner: stubBackend{delay: 10 * time.Millisecond}, FailEvery: 9},
-	})
-	defer m.Shutdown(context.Background())
-	ts := httptest.NewServer(server.Handler(m))
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	rep, err := Run(ctx, Config{
-		Base: ts.URL,
-		Lanes: []LaneLoad{
-			{Priority: "batch", Rate: 200, Jobs: 40, Spec: spec("batch", 10_000), APIKey: "flooder"},
-			{Priority: "interactive", Rate: 20, Jobs: 8, Spec: spec("interactive", 20_000), APIKey: "human"},
+	cases := []struct {
+		name    string
+		backend server.Backend
+		queue   int
+		tenants string // fisimd -tenants JSON
+		trials  int
+		warmUp  bool // run one job first so characterization is not measured
+		batch   LaneLoad
+		inter   LaneLoad
+	}{
+		{
+			name:    "chaos-stub",
+			backend: &server.ChaosBackend{Inner: stubBackend{delay: 10 * time.Millisecond}, FailEvery: 9},
+			queue:   4,
+			trials:  2,
+			batch:   LaneLoad{Rate: 200, Jobs: 40, APIKey: "flooder"},
+			inter:   LaneLoad{Rate: 20, Jobs: 8, APIKey: "human"},
 		},
-		WaitTimeout: 60 * time.Second,
-		Seed:        42,
-	})
-	if err != nil {
-		t.Fatal(err)
+		{
+			name:    "grid-rate-limited",
+			backend: server.GridBackend{System: system()},
+			queue:   8,
+			tenants: `{"clients":{"key:batch-tenant":{"rate":8,"burst":8,"max_active":8}}}`,
+			trials:  16,
+			warmUp:  true,
+			batch:   LaneLoad{Rate: 50, Jobs: 60, APIKey: "batch-tenant"},
+			inter:   LaneLoad{Rate: 5, Jobs: 10, APIKey: "interactive-tenant"},
+		},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var tenants server.TenantsConfig
+			if tc.tenants != "" {
+				if err := json.Unmarshal([]byte(tc.tenants), &tenants); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := server.NewManager(server.Options{
+				System:   system(),
+				Parallel: 1,
+				QueueCap: tc.queue,
+				Tenants:  tenants,
+				Backend:  tc.backend,
+			})
+			defer m.Shutdown(context.Background())
+			ts := httptest.NewServer(server.Handler(m))
+			defer ts.Close()
 
-	// Invariant 1: no accepted job is ever lost.
-	if rep.TotalLost != 0 {
-		t.Fatalf("lost %d accepted jobs", rep.TotalLost)
-	}
-	batch, inter := rep.Lane("batch"), rep.Lane("interactive")
-	if batch == nil || inter == nil {
-		t.Fatalf("missing lane reports: %+v", rep.Lanes)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+			defer cancel()
+			if tc.warmUp {
+				warm := LaneLoad{Priority: "interactive", Rate: 1, Jobs: 1, Spec: spec("interactive", 1, tc.trials), APIKey: tc.inter.APIKey}
+				rep, err := Run(ctx, Config{Base: ts.URL, Lanes: []LaneLoad{warm}, WaitTimeout: 2 * time.Minute, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done := rep.Lane("interactive").Done; done != 1 {
+					t.Fatalf("warm-up job did not complete: %+v", rep)
+				}
+			}
+			batchLoad, interLoad := tc.batch, tc.inter
+			batchLoad.Priority, batchLoad.Spec = "batch", spec("batch", 10_000, tc.trials)
+			interLoad.Priority, interLoad.Spec = "interactive", spec("interactive", 20_000, tc.trials)
+			rep, err := Run(ctx, Config{
+				Base:        ts.URL,
+				Lanes:       []LaneLoad{batchLoad, interLoad},
+				WaitTimeout: 2 * time.Minute,
+				Seed:        42,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Invariant 2: the flood actually overloaded the daemon, and every
-	// shed response advertised when to come back.
-	if batch.Submitted != 40 || batch.Shed == 0 {
-		t.Fatalf("batch lane not saturated: %+v", batch)
-	}
-	if batch.RetryAfterSeen != batch.Shed {
-		t.Errorf("only %d of %d shed responses carried Retry-After", batch.RetryAfterSeen, batch.Shed)
-	}
+			// Invariant 1: no accepted job is ever lost.
+			if rep.TotalLost != 0 {
+				t.Fatalf("lost %d accepted jobs", rep.TotalLost)
+			}
+			batch, inter := rep.Lane("batch"), rep.Lane("interactive")
+			if batch == nil || inter == nil {
+				t.Fatalf("missing lane reports: %+v", rep.Lanes)
+			}
 
-	// Invariant 3: every accepted job reached an honestly reported
-	// terminal state (done, failed by chaos, or displaced→canceled).
-	for _, r := range []*LaneReport{batch, inter} {
-		if terminal := r.Done + r.Failed + r.Canceled; terminal != r.Accepted {
-			t.Errorf("%s lane: %d accepted but %d terminal (%+v)", r.Priority, r.Accepted, terminal, r)
-		}
-	}
+			// Invariant 2: the flood actually overloaded the daemon, and
+			// every shed response advertised when to come back.
+			if batch.Submitted != tc.batch.Jobs || batch.Shed == 0 {
+				t.Fatalf("batch lane not saturated: %+v", batch)
+			}
+			if batch.RetryAfterSeen != batch.Shed {
+				t.Errorf("only %d of %d shed responses carried Retry-After", batch.RetryAfterSeen, batch.Shed)
+			}
 
-	// Invariant 4: interactive work stays responsive under the flood.
-	// Service time is ~10ms and interactive displaces queued batch work,
-	// so even a generous bound catches priority inversion.
-	if inter.Accepted == 0 {
-		t.Fatal("no interactive job accepted under the flood")
-	}
-	if inter.Start.N > 0 && inter.Start.P99 > 5000 {
-		t.Errorf("interactive p99 time-to-start = %.0fms under batch flood", inter.Start.P99)
-	}
-	if rep.DurationSec <= 0 {
-		t.Errorf("report duration = %v", rep.DurationSec)
+			// Invariant 3: every accepted job reached an honestly
+			// reported terminal state (done, failed by chaos, or
+			// displaced→canceled).
+			for _, r := range []*LaneReport{batch, inter} {
+				if terminal := r.Done + r.Failed + r.Canceled; terminal != r.Accepted {
+					t.Errorf("%s lane: %d accepted but %d terminal (%+v)", r.Priority, r.Accepted, terminal, r)
+				}
+			}
+
+			// Invariant 4: interactive work stays responsive under the
+			// flood. Interactive arrivals displace queued batch work, so
+			// even a generous bound catches priority inversion.
+			if inter.Accepted == 0 {
+				t.Fatal("no interactive job accepted under the flood")
+			}
+			if inter.Start.N > 0 && inter.Start.P99 > 5000 {
+				t.Errorf("interactive p99 time-to-start = %.0fms under batch flood", inter.Start.P99)
+			}
+			if rep.DurationSec <= 0 {
+				t.Errorf("report duration = %v", rep.DurationSec)
+			}
+			t.Logf("batch shed %d/%d, interactive p99 time-to-start %.0fms", batch.Shed, batch.Submitted, inter.Start.P99)
+		})
 	}
 }
 

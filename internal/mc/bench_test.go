@@ -1,8 +1,8 @@
 // Trial-path, sweep and cold-path benches: each production path against
 // the reference oracle it replaced (reference_test.go), on unchanged
-// specs so the committed BENCH_*.json snapshots stay comparable. The
-// scripts under scripts/ run them and CI asserts the acceptance bars
-// from fresh numbers.
+// specs so the ratios stay comparable across changes. scripts/gates.sh
+// runs the gate benches and asserts the acceptance bars from fresh
+// numbers.
 package mc
 
 import (
@@ -138,10 +138,9 @@ func BenchmarkPointFull(b *testing.B) {
 // thousands of cycles past the last checkpoint: the batched default
 // (order-statistics planning plus shared-prefix walkers) against the
 // per-trial first-fault oracle (checkpoint restore and golden replay
-// per trial). Workers is pinned so the committed BENCH_batch.json
-// numbers are comparable across machines of different widths.
-// Acceptance bar: batched >= 5x over per-trial first-fault
-// (scripts/bench_batch.sh asserts it in CI from a fresh run).
+// per trial). Workers is pinned so the numbers are comparable across
+// machines of different widths. Acceptance bar: batched >= 5x over
+// per-trial first-fault (scripts/gates.sh).
 
 func batchBenchSpec() Spec {
 	return Spec{
@@ -191,7 +190,7 @@ func BenchmarkChecksumFirstFault(b *testing.B) {
 // per-request cost the old caches imposed on concurrent identical
 // requests. The ratio is work-dedup, not core-scaling, so it holds on
 // any machine width. Acceptance bar: deduped >= 3x over duplicated
-// (scripts/bench_cold.sh asserts it in CI from a fresh run). The second
+// (scripts/gates.sh). The second
 // pair isolates the pipelining of one lone submission against the
 // serial resolve-then-run oracle.
 

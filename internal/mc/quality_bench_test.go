@@ -10,7 +10,7 @@ import (
 // Benchmarks pinning the cost of per-trial quality scoring against the
 // boolean-verdict baseline (the pre-quality engine, approximated by the
 // qualityDisabled hook, which skips extractor calls and scores
-// correct=1/0). scripts/bench_quality.sh runs both and asserts the
+// correct=1/0). scripts/gates.sh runs both and asserts the
 // quality path costs <= 10% extra; the kmeans case is the worst
 // realistic extractor (it recomputes the clustering distortion of both
 // membership vectors per faulting trial).

@@ -10,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +51,26 @@ func smallSpec(seed int64) JobSpec {
 		Freqs:   []float64{700, 720},
 		Trials:  6,
 		Seed:    seed,
+	}
+}
+
+// settles asserts that the goroutine count returns to base within a
+// deadline: every goroutine the test's manager, runners and jobs started
+// must have exited.
+func settles(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -155,6 +177,47 @@ func TestCanonicalizeRejects(t *testing.T) {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
+}
+
+// FuzzCanonicalize decodes arbitrary request bodies the way the HTTP
+// handler does and checks that canonicalization is idempotent — a
+// canonical spec canonicalizes to itself, with the same fingerprint —
+// so dedup identity cannot drift on a second pass. Bodies that fail the
+// first pass must fail with an error, never a panic.
+func FuzzCanonicalize(f *testing.F) {
+	ranged := smallSpec(1)
+	ranged.Freqs = nil
+	ranged.FreqLo, ranged.FreqHi, ranged.FreqStep = 700, 720, 20
+	for _, s := range []JobSpec{smallSpec(1), ranged} {
+		blob, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	// Hostile: alias spellings, a range far past MaxFreqs, an
+	// overflowing watchdog factor and an unknown priority.
+	f.Add([]byte(`{"benches":["median","median"],"models":[],"mode":"scan","freq_lo":1,"freq_hi":1e300,"freq_step":1e-300,"watchdog_factor":1e300,"trials":-5,"trials_max":9,"priority":"urgent"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s JobSpec
+		if json.Unmarshal(body, &s) != nil {
+			return
+		}
+		c1, err := s.Canonicalize()
+		if err != nil {
+			return
+		}
+		c2, err := c1.Canonicalize()
+		if err != nil {
+			t.Fatalf("canonical spec rejected on the second pass: %v\n%+v", err, c1)
+		}
+		if !reflect.DeepEqual(c1, c2) {
+			t.Fatalf("canonicalization not idempotent:\nonce  %+v\ntwice %+v", c1, c2)
+		}
+		if c1.Fingerprint("sysfp") != c2.Fingerprint("sysfp") {
+			t.Fatalf("fingerprint changed on the second pass: %+v", c1)
+		}
+	})
 }
 
 // TestConcurrentSubmitDedup is the headline contract: N concurrent
@@ -475,8 +538,10 @@ func TestCancelQueued(t *testing.T) {
 }
 
 // TestShutdownDrains verifies the drain contract: submitted jobs finish,
-// later submissions are refused.
+// later submissions are refused, and no runner or job goroutine
+// outlives the drain.
 func TestShutdownDrains(t *testing.T) {
+	base := runtime.NumGoroutine()
 	m := NewManager(Options{System: system()})
 	j, _, err := m.Submit(smallSpec(21))
 	if err != nil {
@@ -491,6 +556,7 @@ func TestShutdownDrains(t *testing.T) {
 	if _, _, err := m.Submit(smallSpec(22)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: %v, want ErrDraining", err)
 	}
+	settles(t, base)
 }
 
 // TestHTTPLifecycle exercises the full wire surface: submit, long-poll
