@@ -25,6 +25,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dta"
+	"repro/internal/leaktest"
 	"repro/internal/mc"
 	"repro/internal/report"
 	"repro/internal/server"
@@ -79,26 +80,6 @@ func startWorkers(t *testing.T, n int, cellDelay time.Duration) []string {
 	return urls
 }
 
-// settles asserts that the goroutine count returns to base within a
-// deadline: every goroutine the test's coordinator and workers started
-// must have exited.
-func settles(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // csvOf renders cell results exactly as GET /result?format=csv would.
 func csvOf(t *testing.T, cells []mc.CellResult) []byte {
 	t.Helper()
@@ -129,14 +110,18 @@ func runBackend(t *testing.T, b server.Backend, spec server.JobSpec) []mc.CellRe
 // in-process backend, a 1-worker cluster, and a 4-worker cluster
 // produce byte-identical CSV documents for the same spec and seed.
 //
-// It is also the cluster speedup gate: 4 workers must finish the grid
-// at least 2.5x faster than 1 in wall-clock time. Every worker sleeps
-// cellDelay per computed cell, a fixed per-node capacity, so the ratio
-// measures lease distribution and tail stealing rather than CPU
-// parallelism and holds on hosts with fewer cores than workers.
+// It is also the cluster speedup gate: 4 workers must finish a 24-cell
+// grid at least 2.5x faster than 1 in wall-clock time. Every worker
+// sleeps cellDelay per computed cell, a fixed per-node capacity, so the
+// ratio measures lease distribution and pull scheduling rather than CPU
+// parallelism and holds on hosts with fewer cores than workers. At 2
+// cells per lease each of the 4 workers pulls about 3 leases, so one
+// late pull shifts the ratio a little instead of failing the gate.
+// Stealing is pinned by TestWorkStealing.
 func TestClusterShapesBitIdentical(t *testing.T) {
 	const cellDelay = 250 * time.Millisecond
 	spec := gridSpec(11)
+	spec.Freqs = mc.FreqRange(690, 745, 5) // 2 sigmas x 12 freqs
 	want := csvOf(t, runBackend(t, server.GridBackend{System: system()}, spec))
 	if len(bytes.TrimSpace(want)) == 0 {
 		t.Fatal("reference CSV is empty")
@@ -156,8 +141,8 @@ func TestClusterShapesBitIdentical(t *testing.T) {
 			t.Errorf("%d-worker cluster CSV differs from in-process run:\n got: %s\nwant: %s", workers, got, want)
 		}
 		st := coord.ClusterStats()
-		if st.CellsCompleted != 8 {
-			t.Errorf("%d workers: CellsCompleted = %d, want 8", workers, st.CellsCompleted)
+		if st.CellsCompleted != 24 {
+			t.Errorf("%d workers: CellsCompleted = %d, want 24", workers, st.CellsCompleted)
 		}
 		if st.WorkersLive != workers {
 			t.Errorf("%d workers: WorkersLive = %d", workers, st.WorkersLive)
@@ -240,7 +225,7 @@ func TestCoordinatorCancelLeaksNoGoroutines(t *testing.T) {
 	for _, ts := range servers {
 		ts.Close()
 	}
-	settles(t, base)
+	leaktest.Settles(t, base)
 }
 
 // abortingWorker wraps a worker handler: the first lease stream is cut

@@ -20,8 +20,8 @@ var (
 	sys     *core.System
 )
 
-// system returns a shared small-DTA stack; the stub backend never runs
-// a grid, but the manager needs a System for dedup fingerprints.
+// system returns a shared small-DTA stack: it serves the managers' dedup
+// fingerprints and the real trials of the grid-rate-limited case.
 func system() *core.System {
 	sysOnce.Do(func() {
 		cfg := core.DefaultConfig()
@@ -76,6 +76,8 @@ func TestSaturationSLO(t *testing.T) {
 		warmUp  bool // run one job first so characterization is not measured
 		batch   LaneLoad
 		inter   LaneLoad
+		wait    time.Duration // Config.WaitTimeout: accepted jobs still live after it count as lost
+		timeout time.Duration // bound on the whole case
 	}{
 		{
 			name:    "chaos-stub",
@@ -84,6 +86,8 @@ func TestSaturationSLO(t *testing.T) {
 			trials:  2,
 			batch:   LaneLoad{Rate: 200, Jobs: 40, APIKey: "flooder"},
 			inter:   LaneLoad{Rate: 20, Jobs: 8, APIKey: "human"},
+			wait:    60 * time.Second,
+			timeout: 90 * time.Second,
 		},
 		{
 			name:    "grid-rate-limited",
@@ -94,6 +98,8 @@ func TestSaturationSLO(t *testing.T) {
 			warmUp:  true,
 			batch:   LaneLoad{Rate: 50, Jobs: 60, APIKey: "batch-tenant"},
 			inter:   LaneLoad{Rate: 5, Jobs: 10, APIKey: "interactive-tenant"},
+			wait:    2 * time.Minute, // fisimload's -wait-timeout default
+			timeout: 5 * time.Minute,
 		},
 	}
 	for _, tc := range cases {
@@ -115,11 +121,11 @@ func TestSaturationSLO(t *testing.T) {
 			ts := httptest.NewServer(server.Handler(m))
 			defer ts.Close()
 
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+			ctx, cancel := context.WithTimeout(context.Background(), tc.timeout)
 			defer cancel()
 			if tc.warmUp {
 				warm := LaneLoad{Priority: "interactive", Rate: 1, Jobs: 1, Spec: spec("interactive", 1, tc.trials), APIKey: tc.inter.APIKey}
-				rep, err := Run(ctx, Config{Base: ts.URL, Lanes: []LaneLoad{warm}, WaitTimeout: 2 * time.Minute, Seed: 1})
+				rep, err := Run(ctx, Config{Base: ts.URL, Lanes: []LaneLoad{warm}, WaitTimeout: tc.wait, Seed: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +139,7 @@ func TestSaturationSLO(t *testing.T) {
 			rep, err := Run(ctx, Config{
 				Base:        ts.URL,
 				Lanes:       []LaneLoad{batchLoad, interLoad},
-				WaitTimeout: 2 * time.Minute,
+				WaitTimeout: tc.wait,
 				Seed:        42,
 			})
 			if err != nil {

@@ -8,10 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/leaktest"
 )
 
 // TestRunContextCancelAborts pins the cancellation contract: a grid run
@@ -183,26 +183,6 @@ func TestModeAliasesKeepPointsAndKeys(t *testing.T) {
 	}
 }
 
-// settles asserts that the goroutine count returns to base within a
-// deadline: every worker, resolver, committer and context watcher a
-// grid run starts must have exited once the run returns.
-func settles(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestGridRunLeaksNoGoroutines cancels a full-execution grid mid-run
 // and runs a grid that ends on an invalid cell under a live context
 // (which arms the engine's context watcher); neither may leave a
@@ -230,7 +210,7 @@ func TestGridRunLeaksNoGoroutines(t *testing.T) {
 	if _, err := grid.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled full grid: err=%v, want context.Canceled", err)
 	}
-	settles(t, base)
+	leaktest.Settles(t, base)
 
 	base = runtime.NumGoroutine()
 	spec.Mode = ModeAuto
@@ -241,5 +221,5 @@ func TestGridRunLeaksNoGoroutines(t *testing.T) {
 	if err == nil || len(cells) != 2 {
 		t.Fatalf("invalid-cell grid: %d cells, err=%v; want the 2-cell prefix and an error", len(cells), err)
 	}
-	settles(t, base)
+	leaktest.Settles(t, base)
 }

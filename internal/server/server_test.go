@@ -20,6 +20,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/dta"
+	"repro/internal/leaktest"
 )
 
 var (
@@ -51,26 +52,6 @@ func smallSpec(seed int64) JobSpec {
 		Freqs:   []float64{700, 720},
 		Trials:  6,
 		Seed:    seed,
-	}
-}
-
-// settles asserts that the goroutine count returns to base within a
-// deadline: every goroutine the test's manager, runners and jobs started
-// must have exited.
-func settles(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%d goroutines after the run, %d before:\n%s", n, base, buf)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -556,7 +537,7 @@ func TestShutdownDrains(t *testing.T) {
 	if _, _, err := m.Submit(smallSpec(22)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: %v, want ErrDraining", err)
 	}
-	settles(t, base)
+	leaktest.Settles(t, base)
 }
 
 // TestHTTPLifecycle exercises the full wire surface: submit, long-poll
