@@ -50,11 +50,12 @@ const (
 // ErrVersion reports a blob written under a different format version.
 var ErrVersion = errors.New("artifact: format version mismatch")
 
-// Stats counts store traffic since Open.
+// Stats counts store traffic since Open. fisimd's /v1/stats serves it
+// as its "store" object.
 type Stats struct {
-	Hits   int64 // Get found a valid blob
-	Misses int64 // Get found nothing (or a rejected blob)
-	Puts   int64 // blobs written
+	Hits   int64 `json:"hits"`   // Get found a valid blob
+	Misses int64 `json:"misses"` // Get found nothing (or a rejected blob)
+	Puts   int64 `json:"puts"`   // blobs written
 }
 
 // Store is one cache directory. It is safe for concurrent use; writers

@@ -20,7 +20,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/artifact"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/dta"
 	"repro/internal/fi"
 	"repro/internal/mem"
+	"repro/internal/memo"
 	"repro/internal/power"
 	"repro/internal/timing"
 )
@@ -63,56 +63,34 @@ func DefaultConfig() Config {
 
 // System is one instantiated simulation stack. Its configuration is
 // immutable after construction and it is safe for concurrent use:
-// characterizations cache inside Char and instantiated fault models
-// cache inside the system itself (see Model).
+// characterizations cache inside Char, and instantiated fault models,
+// golden traces and hazard tables cache inside the system itself, each
+// in a singleflight memo.Map (see Model, Golden and Hazard).
 type System struct {
 	Cfg  Config
 	ALU  *circuit.ALU
 	Char *dta.Characterizer
 
-	modelMu sync.Mutex
-	models  map[modelKey]*modelEntry
-
-	goldenMu sync.Mutex
-	goldens  map[goldenKey]*goldenEntry
-
-	hazards hazardCache
+	models  memo.Map[modelKey, fi.Model]
+	goldens memo.Map[goldenKey, *Golden]
+	hazards memo.Map[hazardKey, *fi.Hazard]
 
 	artifacts *artifact.Store
 
 	modelsBuilt    atomic.Int64 // fault models actually instantiated
 	goldenRecorded atomic.Int64 // golden traces actually executed+recorded
 	goldenLoaded   atomic.Int64 // golden traces served from the artifact store
-}
-
-// modelEntry is one singleflight slot of the model cache: the first
-// caller of a key runs the build inside once, every concurrent caller of
-// the same key blocks on it and shares the one instance (or the one
-// error — construction is deterministic for a fixed system config, so a
-// failed spec fails identically on every retry).
-type modelEntry struct {
-	once sync.Once
-	m    fi.Model
-	err  error
-}
-
-// goldenEntry is the golden cache's singleflight slot, same contract as
-// modelEntry.
-type goldenEntry struct {
-	once sync.Once
-	g    *Golden
-	err  error
+	hazardsBuilt   atomic.Int64 // hazard tables actually constructed
+	hazardsLoaded  atomic.Int64 // hazard tables served from the artifact store
 }
 
 // New builds and calibrates a system.
 func New(cfg Config) *System {
 	alu := circuit.New(cfg.Circuit)
 	return &System{
-		Cfg:     cfg,
-		ALU:     alu,
-		Char:    dta.NewCharacterizer(alu, cfg.Vdd, cfg.DTA),
-		models:  map[modelKey]*modelEntry{},
-		goldens: map[goldenKey]*goldenEntry{},
+		Cfg:  cfg,
+		ALU:  alu,
+		Char: dta.NewCharacterizer(alu, cfg.Vdd, cfg.DTA),
 	}
 }
 
@@ -156,7 +134,7 @@ func (s *System) CacheSummary() string {
 	return fmt.Sprintf("characterizations: %d computed, %d loaded; goldens: %d recorded, %d loaded; hazards: %d built, %d loaded; models: %d built",
 		s.Char.ComputedCount(), s.Char.LoadedCount(),
 		s.goldenRecorded.Load(), s.goldenLoaded.Load(),
-		s.hazards.built.Load(), s.hazards.loaded.Load(),
+		s.hazardsBuilt.Load(), s.hazardsLoaded.Load(),
 		s.modelsBuilt.Load())
 }
 
@@ -248,21 +226,13 @@ func (spec ModelSpec) key() modelKey {
 // specs build in parallel, never serialized on the map mutex. Callers
 // must not mutate spec.Profile after the call.
 func (s *System) Model(spec ModelSpec) (fi.Model, error) {
-	k := spec.key()
-	s.modelMu.Lock()
-	e, ok := s.models[k]
-	if !ok {
-		e = &modelEntry{}
-		s.models[k] = e
-	}
-	s.modelMu.Unlock()
-	e.once.Do(func() {
-		e.m, e.err = s.NewModel(spec)
-		if e.err == nil {
+	return s.models.Get(spec.key(), func() (fi.Model, error) {
+		m, err := s.NewModel(spec)
+		if err == nil {
 			s.modelsBuilt.Add(1)
 		}
+		return m, err
 	})
-	return e.m, e.err
 }
 
 // NewModel instantiates the spec against this system without consulting
@@ -337,33 +307,22 @@ func (s *System) Golden(b *bench.Benchmark, inputSeed int64) (*Golden, error) {
 	if b.PerTrialInputs {
 		return nil, fmt.Errorf("core: %s regenerates inputs per trial; no shared golden trace", b.Name)
 	}
-	k := goldenKey{bench: b.Name, inputSeed: inputSeed}
-	s.goldenMu.Lock()
-	e, ok := s.goldens[k]
-	if !ok {
-		e = &goldenEntry{}
-		s.goldens[k] = e
-	}
-	s.goldenMu.Unlock()
-	e.once.Do(func() {
+	return s.goldens.Get(goldenKey{bench: b.Name, inputSeed: inputSeed}, func() (*Golden, error) {
 		g, err := s.loadGolden(b, inputSeed)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		if g != nil {
 			s.goldenLoaded.Add(1)
-		} else {
-			if g, err = s.recordGolden(b, inputSeed); err != nil {
-				e.err = err
-				return
-			}
-			s.goldenRecorded.Add(1)
-			s.saveGolden(b, inputSeed, g)
+			return g, nil
 		}
-		e.g = g
+		if g, err = s.recordGolden(b, inputSeed); err != nil {
+			return nil, err
+		}
+		s.goldenRecorded.Add(1)
+		s.saveGolden(b, inputSeed, g)
+		return g, nil
 	})
-	return e.g, e.err
 }
 
 // BenchDigest hashes the benchmark's actual program content at an input

@@ -11,8 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
@@ -27,38 +25,14 @@ type hazardKey struct {
 	model  modelKey
 }
 
-// hazardCache is the System-level cache; split out so core.go stays the
-// construction/golden path and this file the hazard path. Like the
-// model and golden caches it is per-key singleflight: each entry's
-// once runs the load-or-build exactly once while concurrent callers of
-// the same key block on it, and distinct keys build in parallel.
-type hazardCache struct {
-	mu      sync.Mutex
-	tables  map[hazardKey]*hazardEntry
-	built   atomic.Int64 // hazard tables actually constructed
-	loaded  atomic.Int64 // hazard tables served from the artifact store
-	initOne sync.Once
-}
-
-// hazardEntry is one singleflight slot of the hazard cache, same
-// contract as modelEntry.
-type hazardEntry struct {
-	once sync.Once
-	h    *fi.Hazard
-}
-
-func (c *hazardCache) init() {
-	c.initOne.Do(func() { c.tables = map[hazardKey]*hazardEntry{} })
-}
-
 // HazardBuiltCount reports how many hazard tables this system actually
 // constructed (marginalization + prefix fold), as opposed to serving
 // from memory or the store.
-func (s *System) HazardBuiltCount() int64 { return s.hazards.built.Load() }
+func (s *System) HazardBuiltCount() int64 { return s.hazardsBuilt.Load() }
 
 // HazardLoadedCount reports how many hazard tables were served from the
 // attached artifact store.
-func (s *System) HazardLoadedCount() int64 { return s.hazards.loaded.Load() }
+func (s *System) HazardLoadedCount() int64 { return s.hazardsLoaded.Load() }
 
 // Hazard returns the first-fault sampling table of the benchmark's
 // golden trace under the given model spec, building (and caching, and —
@@ -78,30 +52,21 @@ func (s *System) Hazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec) (*f
 	if err != nil {
 		return nil, err
 	}
-	k := hazardKey{golden: goldenKey{bench: b.Name, inputSeed: inputSeed}, model: spec.key()}
-	s.hazards.init()
-	s.hazards.mu.Lock()
-	e, ok := s.hazards.tables[k]
-	if !ok {
-		e = &hazardEntry{}
-		s.hazards.tables[k] = e
-	}
-	s.hazards.mu.Unlock()
 	// Load-or-build runs once per key; concurrent callers of the same
-	// key block here and share the one table. The interior cannot fail:
+	// key block on it and share the one table. The build cannot fail:
 	// loadHazard degrades to nil on any store problem and BuildHazard is
-	// total, so the entry carries no error slot.
-	e.once.Do(func() {
+	// total.
+	k := hazardKey{golden: goldenKey{bench: b.Name, inputSeed: inputSeed}, model: spec.key()}
+	return s.hazards.Get(k, func() (*fi.Hazard, error) {
 		if h := s.loadHazard(b, inputSeed, spec, len(g.Queries)); h != nil {
-			s.hazards.loaded.Add(1)
-			e.h = h
-			return
+			s.hazardsLoaded.Add(1)
+			return h, nil
 		}
-		e.h = fi.BuildHazard(hm, g.Queries)
-		s.hazards.built.Add(1)
-		s.saveHazard(b, inputSeed, spec, e.h)
+		h := fi.BuildHazard(hm, g.Queries)
+		s.hazardsBuilt.Add(1)
+		s.saveHazard(b, inputSeed, spec, h)
+		return h, nil
 	})
-	return e.h, nil
 }
 
 // hazardStoreKey spells out every input the table depends on: the full

@@ -252,14 +252,6 @@ func (c *CPU) Run() Status {
 	return c.status
 }
 
-// Step executes a single instruction (for tests and debuggers).
-func (c *CPU) Step() Status {
-	if c.status == StatusRunning {
-		c.step()
-	}
-	return c.status
-}
-
 func (c *CPU) step() {
 	if c.trace != nil && c.Cycles >= c.nextCkpt {
 		c.checkpoint()

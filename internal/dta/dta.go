@@ -30,6 +30,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/stats"
 	"repro/internal/timing"
 )
@@ -252,8 +253,7 @@ type Characterizer struct {
 	Model timing.VddDelay
 	Cfg   Config
 
-	mu    sync.Mutex
-	cache map[cacheKey]*entry
+	cache memo.Map[cacheKey, *Characterization]
 	store *artifact.Store
 
 	computed atomic.Int64 // characterizations actually simulated
@@ -265,22 +265,12 @@ type cacheKey struct {
 	mV  int // voltage in millivolts
 }
 
-type entry struct {
-	once sync.Once
-	ch   *Characterization
-}
-
 // NewCharacterizer returns a characterizer over the given ALU.
 func NewCharacterizer(alu *circuit.ALU, model timing.VddDelay, cfg Config) *Characterizer {
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = DefaultConfig().Cycles
 	}
-	return &Characterizer{
-		ALU:   alu,
-		Model: model,
-		Cfg:   cfg,
-		cache: map[cacheKey]*entry{},
-	}
+	return &Characterizer{ALU: alu, Model: model, Cfg: cfg}
 }
 
 // SetStore attaches a persistent artifact store. Must be called before
@@ -305,24 +295,16 @@ func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) 
 		return nil, err
 	}
 	ck := cacheKey{key: key, mV: int(math.Round(voltage * 1000))}
-	c.mu.Lock()
-	e, ok := c.cache[ck]
-	if !ok {
-		e = &entry{}
-		c.cache[ck] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	return c.cache.Get(ck, func() (*Characterization, error) {
 		if ch, ok := c.load(key, voltage); ok {
-			e.ch = ch
 			c.loaded.Add(1)
-			return
+			return ch, nil
 		}
-		e.ch = c.run(key, voltage, runtime.GOMAXPROCS(0))
+		ch := c.run(key, voltage, runtime.GOMAXPROCS(0))
 		c.computed.Add(1)
-		c.save(e.ch)
+		c.save(ch)
+		return ch, nil
 	})
-	return e.ch, nil
 }
 
 // storeKey spells out every input a characterization depends on: the

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dta"
 	"repro/internal/fi"
+	"repro/internal/memo"
 )
 
 // Axes lists the grid dimensions. An empty axis collapses to the single
@@ -181,7 +182,7 @@ func cellKey(fingerprint, benchDigest string, s Spec, c Cell) string {
 	}
 	return fmt.Sprintf("sys=%s|bench=%s|prog=%s|inputSeed=%d|model=%+v|trials=%d|tmin=%d|tmax=%d|z=%g|eps=%g|seed=%d|wf=%g|path=%s|rng=x1|q=v1",
 		fingerprint, c.Bench.Name, benchDigest, s.InputSeed, c.Model,
-		s.Trials, s.TrialsMin, s.TrialsMax, s.WilsonZ, s.CorrectEps,
+		s.Trials, s.TrialsMin, s.TrialsMax, wilsonZ, correctEps,
 		s.Seed, s.WatchdogFactor, path)
 }
 
@@ -234,17 +235,12 @@ func (g Grid) PlanCells() ([]PlannedCell, error) {
 	s := g.Spec.withDefaults()
 	cells := g.Cells()
 	fingerprint := s.System.Fingerprint()
-	digests := make(map[string]string)
+	r := &resolver{s: s} // for its digest memo only
 	plan := make([]PlannedCell, len(cells))
 	for i, c := range cells {
-		digest, ok := digests[c.Bench.Name]
-		if !ok {
-			var err error
-			digest, err = core.BenchDigest(c.Bench, s.InputSeed)
-			if err != nil {
-				return nil, err
-			}
-			digests[c.Bench.Name] = digest
+		digest, err := r.digest(c.Bench)
+		if err != nil {
+			return nil, err
 		}
 		pc := PlannedCell{Index: i, Cell: c, Key: cellKey(fingerprint, digest, s, c)}
 		if g.Store != nil && g.Resume {
@@ -289,44 +285,24 @@ type resolvedCell struct {
 
 // resolver turns grid coordinates into engine-ready pointStates. It is
 // safe for concurrent use: the per-benchmark artifacts (program
-// digest, golden execution context) are per-key singleflight — the
-// first cell of a benchmark to arrive computes them, concurrent cells
-// of the same benchmark block on that one computation — and the
-// model/golden/hazard caches inside core.System are singleflight
-// themselves, so N racing cells never duplicate a build.
+// digest, golden execution context) are keyed by benchmark name in
+// singleflight memo.Maps — the first cell of a benchmark to arrive
+// computes them, concurrent cells of the same benchmark block on that
+// one computation — and the model/golden/hazard caches inside
+// core.System are singleflight themselves, so N racing cells never
+// duplicate a build.
 type resolver struct {
 	s           Spec
 	store       *artifact.Store
 	resume      bool
 	fingerprint string
 
-	mu      sync.Mutex
-	digests map[string]*digestEntry
-	ctxs    map[string]*benchCtxEntry
-}
-
-// digestEntry is the singleflight slot of one benchmark's program
-// digest.
-type digestEntry struct {
-	once   sync.Once
-	digest string
-	err    error
-}
-
-// benchCtxEntry is the singleflight slot of one benchmark's shared
-// execution context (assembled program, golden run, watchdog budget).
-type benchCtxEntry struct {
-	once sync.Once
-	bctx *benchCtx
-	err  error
+	digests memo.Map[string, string]
+	ctxs    memo.Map[string, *benchCtx]
 }
 
 func newResolver(s Spec, g Grid) *resolver {
-	r := &resolver{
-		s: s, store: g.Store, resume: g.Resume,
-		digests: map[string]*digestEntry{},
-		ctxs:    map[string]*benchCtxEntry{},
-	}
+	r := &resolver{s: s, store: g.Store, resume: g.Resume}
 	if g.Store != nil {
 		r.fingerprint = s.System.Fingerprint()
 	}
@@ -336,29 +312,13 @@ func newResolver(s Spec, g Grid) *resolver {
 // digest returns the benchmark's program digest, computing it once per
 // benchmark.
 func (r *resolver) digest(b *bench.Benchmark) (string, error) {
-	r.mu.Lock()
-	e, ok := r.digests[b.Name]
-	if !ok {
-		e = &digestEntry{}
-		r.digests[b.Name] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.digest, e.err = core.BenchDigest(b, r.s.InputSeed) })
-	return e.digest, e.err
+	return r.digests.Get(b.Name, func() (string, error) { return core.BenchDigest(b, r.s.InputSeed) })
 }
 
 // benchCtx returns the benchmark's shared execution context, running
 // (or loading) its golden execution once per benchmark.
 func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
-	r.mu.Lock()
-	e, ok := r.ctxs[b.Name]
-	if !ok {
-		e = &benchCtxEntry{}
-		r.ctxs[b.Name] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.bctx, e.err = newBenchCtx(r.s, b) })
-	return e.bctx, e.err
+	return r.ctxs.Get(b.Name, func() (*benchCtx, error) { return newBenchCtx(r.s, b) })
 }
 
 // resolve materializes one cell: a resumed cell comes back as its

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dta"
 )
 
 // The grid-engine differential: a single-axis (frequency) grid must be
@@ -308,5 +310,27 @@ func TestGridResumeAdaptive(t *testing.T) {
 		if !second[i].Cached || !reflect.DeepEqual(second[i].Point, first[i].Point) {
 			t.Errorf("adaptive cell %d did not resume bit-identically", i)
 		}
+	}
+}
+
+// The cell key is the address every checkpointed grid cell is stored
+// under, so its spelling is part of the store's format: a refactor that
+// reorders, renames or reformats any field silently cold-misses every
+// warm store. This pins everything after the program digest for one
+// fixed spec and cell.
+func TestCellKeySpelling(t *testing.T) {
+	s := Spec{Trials: 50, TrialsMin: 8, TrialsMax: 64, Seed: 7}.withDefaults()
+	c := Cell{
+		Bench: &bench.Benchmark{Name: "median"},
+		Model: core.ModelSpec{Kind: "C", Vdd: 0.7, FreqMHz: 800, Sigma: 0.01,
+			Profile: dta.Profile{circuit.UnitMul: "w8"}},
+	}
+	const want = "sys=FP|bench=median|prog=DIG" +
+		"|inputSeed=42" +
+		"|model={Kind:C Vdd:0.7 FreqMHz:800 Sigma:0.01 ProbA:0 Profile:map[mul:w8] Sem:flip-bit Sampling:independent}" +
+		"|trials=50|tmin=8|tmax=64|z=1.959963984540054|eps=0.05|seed=7|wf=4" +
+		"|path=firstfault|rng=x1|q=v1"
+	if got := cellKey("FP", "DIG", s, c); got != want {
+		t.Errorf("cell key spelling changed:\n got %s\nwant %s", got, want)
 	}
 }

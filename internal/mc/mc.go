@@ -53,7 +53,7 @@
 // Optionally, trial allocation is adaptive (TrialsMin/TrialsMax): a
 // point starts with TrialsMin trials and grows in TrialsMin batches
 // until the Wilson confidence interval on its correct proportion either
-// clears or excludes 100% - CorrectEps, or TrialsMax is reached. Points
+// clears or excludes 100% - correctEps, or TrialsMax is reached. Points
 // that are obviously clean or obviously broken stop early; the trial
 // budget concentrates on the decision boundary around the point of
 // first failure. Batch boundaries are fixed in trial-index order, so
@@ -141,13 +141,6 @@ type Spec struct {
 	// clearly below 100% correct, or TrialsMax trials have run.
 	TrialsMin int
 	TrialsMax int
-	// WilsonZ is the normal quantile of the adaptive decision interval
-	// (default stats.WilsonZ95).
-	WilsonZ float64
-	// CorrectEps is the adaptive decision margin as a proportion
-	// (default 0.05): a point stops once its correct-proportion interval
-	// lies entirely above or entirely below 1 - CorrectEps.
-	CorrectEps float64
 	// Seed drives all trial randomness (noise, injection, per-trial
 	// operands); every (seed, trial index) pair is reproducible.
 	Seed int64
@@ -184,12 +177,6 @@ func (s Spec) withDefaults() Spec {
 			s.TrialsMin = s.TrialsMax
 		}
 	}
-	if s.WilsonZ <= 0 {
-		s.WilsonZ = stats.WilsonZ95
-	}
-	if s.CorrectEps <= 0 {
-		s.CorrectEps = 0.05
-	}
 	if s.WatchdogFactor <= 0 {
 		s.WatchdogFactor = 4
 	}
@@ -201,6 +188,14 @@ func (s Spec) withDefaults() Spec {
 	}
 	return s
 }
+
+// The adaptive decision rule: a point stops once the Wilson interval
+// (normal quantile wilsonZ) on its correct proportion lies entirely
+// above or entirely below 1 - correctEps.
+const (
+	wilsonZ    = stats.WilsonZ95
+	correctEps = 0.05
+)
 
 // DefaultInputSeed is the benchmark input seed a zero Spec.InputSeed
 // resolves to; exported so downstream consumers of grid results (the
@@ -532,8 +527,8 @@ func (e *engine) decide(p *pointState) bool {
 			correct++
 		}
 	}
-	lo, hi := stats.Wilson(correct, p.target, e.s.WilsonZ)
-	boundary := 1 - e.s.CorrectEps
+	lo, hi := stats.Wilson(correct, p.target, wilsonZ)
+	boundary := 1 - correctEps
 	if lo >= boundary || hi < boundary {
 		return true
 	}

@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/report"
 )
 
@@ -53,16 +54,10 @@ type StatsResponse struct {
 	Cache string `json:"cache"`
 	// Store holds artifact-store hit/miss/put counters when a store is
 	// attached.
-	Store *storeStats `json:"store,omitempty"`
+	Store *artifact.Stats `json:"store,omitempty"`
 	// Cluster holds distributed-execution counters when the manager runs
 	// on a cluster coordinator backend (fisimd -workers=...).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-}
-
-type storeStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Puts   int64 `json:"puts"`
 }
 
 type errorResponse struct {
@@ -218,7 +213,7 @@ func handleStats(m *Manager, w http.ResponseWriter) {
 	}
 	if st := m.System().ArtifactStore(); st != nil {
 		s := st.Stats()
-		resp.Store = &storeStats{Hits: s.Hits, Misses: s.Misses, Puts: s.Puts}
+		resp.Store = &s
 	}
 	if cr, ok := m.Backend().(ClusterReporter); ok {
 		cs := cr.ClusterStats()

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -427,7 +428,7 @@ func TestWarmResubmitServesFromStore(t *testing.T) {
 	if cold.CachedCells != 0 {
 		t.Fatalf("cold run served %d cached cells", cold.CachedCells)
 	}
-	warm, warmSys, _ := run()
+	warm, warmSys, warmMgr := run()
 	if warm.CachedCells != warm.Cells || warm.Cells == 0 {
 		t.Fatalf("warm run: %d/%d cells cached, want all", warm.CachedCells, warm.Cells)
 	}
@@ -436,6 +437,24 @@ func TestWarmResubmitServesFromStore(t *testing.T) {
 	}
 	if n := warmSys.GoldenRecordedCount(); n != 0 {
 		t.Errorf("warm run recorded %d golden traces", n)
+	}
+
+	// /v1/stats serves the store counters as a "store" object whose JSON
+	// spelling is part of the API (docs/API.md).
+	rec := httptest.NewRecorder()
+	Handler(warmMgr).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, stats["store"]); err != nil {
+		t.Fatal(err)
+	}
+	ss := warmSys.ArtifactStore().Stats()
+	want := fmt.Sprintf(`{"hits":%d,"misses":%d,"puts":%d}`, ss.Hits, ss.Misses, ss.Puts)
+	if got.String() != want || ss.Hits == 0 {
+		t.Errorf("/v1/stats store = %s, want %s with hits > 0", got.String(), want)
 	}
 }
 
