@@ -80,7 +80,7 @@ func main() {
 		if e == circuit.FlagEndpoint {
 			name = "flag"
 		}
-		c := ch.CDFs[e]
+		c := ch.CDF(e)
 		fmt.Printf("%8s %12.1f %12.1f %9.2f%% %9.2f%% %9.2f%%\n",
 			name, c.MaxPs(), c.OnsetMHz(),
 			c.ViolationProb(circuit.PeriodPs(900))*100,
@@ -116,7 +116,7 @@ func characterizeAll(sys *core.System, vdd float64, quiet bool) {
 		}
 		var p900, p1200 float64
 		for e := 0; e < ch.NumEndpoints(); e++ {
-			c := ch.CDFs[e]
+			c := ch.CDF(e)
 			if p := c.ViolationProb(circuit.PeriodPs(900)); p > p900 {
 				p900 = p
 			}

@@ -1,19 +1,20 @@
 // Package artifact is the persistent on-disk cache of everything in the
 // stack that is expensive to compute and cheap to replay: DTA
-// endpoint-CDF characterizations, golden traces with their checkpoints,
-// and completed Monte-Carlo grid cells. The store is content-addressed
-// by a caller-supplied key string that must spell out every input the
-// artifact depends on (configuration fingerprints, seeds, operating
-// point); the file name is the SHA-256 of (kind, key), and the full key
-// is stored inside the blob so a hash collision degrades to a miss, not
-// a wrong artifact.
+// characterizations, golden traces with their checkpoints, hazard
+// tables and completed Monte-Carlo grid cells. The store is
+// content-addressed by a caller-supplied key string that must spell out
+// every input the artifact depends on (configuration fingerprints,
+// seeds, operating point); the file name is the SHA-256 of (kind, key),
+// and the full key is stored inside the blob so a hash collision
+// degrades to a miss, not a wrong artifact.
 //
-// Every blob carries a format version. Get rejects blobs whose version
-// differs from the package's — a decoder facing a future (or stale)
-// layout reports ErrVersion instead of misreading bytes — so bumping
-// Version invalidates every cache atomically. Writes go through a
-// temp-file rename, so an interrupted run never leaves a torn blob
-// behind.
+// A blob is a flat envelope: a magic prefix, the format version, the
+// kind and key, the SHA-256 of the payload, then the payload itself.
+// Get rejects anything whose magic, version, kind, key or checksum does
+// not match, so a stale layout, a foreign file or a flipped bit reads as
+// a miss instead of a misread artifact, and bumping Version invalidates
+// every cache atomically. Writes go through a temp-file rename, so an
+// interrupted run never leaves a torn blob behind.
 //
 // artifact is a leaf of the dependency graph (stdlib only), depended on
 // by dta, core, mc and server; it is what turns every warm start in the
@@ -24,19 +25,23 @@ package artifact
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 )
 
 // Version is the on-disk format version. Bump it whenever the layout of
-// any persisted payload changes; every existing blob then reads as a
-// rejection (ErrVersion), never as a silently misdecoded artifact.
-const Version = 1
+// the envelope or of any persisted payload changes; every existing blob
+// then reads as a rejection (ErrVersion), never as a silently
+// misdecoded artifact.
+const Version = 2
 
 // Artifact kinds in use across the stack. Kind strings partition the key
 // space so a characterization key can never alias a trace key.
@@ -49,6 +54,10 @@ const (
 
 // ErrVersion reports a blob written under a different format version.
 var ErrVersion = errors.New("artifact: format version mismatch")
+
+// ErrChecksum reports a blob whose payload does not match the SHA-256
+// stored beside it: a flipped bit or a torn payload.
+var ErrChecksum = errors.New("artifact: payload checksum mismatch")
 
 // Stats counts store traffic since Open. fisimd's /v1/stats serves it
 // as its "store" object.
@@ -92,34 +101,57 @@ func (s *Store) path(kind, key string) string {
 	return filepath.Join(s.dir, kind+"-"+hex.EncodeToString(h[:16])+".art")
 }
 
-// envelope is the gob-framed on-disk layout.
-type envelope struct {
-	Version int
-	Kind    string
-	Key     string
-	Payload []byte
+// magic prefixes every blob. Blobs from before the flat envelope are
+// gob streams, which open with a message length and a type descriptor
+// and can never start with it, so they fail here and read as misses.
+const magic = "FSART\x00"
+
+// header returns the bytes of a blob before its checksum: magic,
+// version (uint32), then kind and key, each a uint32 length and the
+// bytes; integers are little-endian.
+func header(kind, key string, version uint32) []byte {
+	h := make([]byte, 0, len(magic)+12+len(kind)+len(key))
+	h = append(h, magic...)
+	h = binary.LittleEndian.AppendUint32(h, version)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(kind)))
+	h = append(h, kind...)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(key)))
+	return append(h, key...)
 }
 
 // encode frames a payload at an explicit version (tests use non-current
-// versions to pin the rejection path).
-func encode(kind, key string, payload []byte, version int) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(envelope{
-		Version: version, Kind: kind, Key: key, Payload: payload,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("artifact: encode %s: %w", kind, err)
+// versions to pin the rejection path): the header, the payload's
+// SHA-256, then the payload.
+func encode(kind, key string, payload []byte, version uint32) []byte {
+	sum := sha256.Sum256(payload)
+	return slices.Concat(header(kind, key, version), sum[:], payload)
+}
+
+// decode unframes a blob read for (kind, key), returning the payload as
+// a subslice of blob. ok=false with a nil error is a clean miss: the
+// blob belongs to another (kind, key), behind a hash collision.
+func decode(blob []byte, kind, key string) (payload []byte, ok bool, err error) {
+	h := header(kind, key, Version)
+	if !bytes.HasPrefix(blob, h) {
+		if len(blob) < len(magic)+4 || !bytes.HasPrefix(blob, []byte(magic)) {
+			return nil, false, errors.New("artifact: not an artifact blob")
+		}
+		if v := binary.LittleEndian.Uint32(blob[len(magic):]); v != Version {
+			return nil, false, fmt.Errorf("%w: blob v%d, want v%d", ErrVersion, v, Version)
+		}
+		return nil, false, nil
 	}
-	return buf.Bytes(), nil
+	rest := blob[len(h):]
+	if len(rest) < sha256.Size || sha256.Sum256(rest[sha256.Size:]) != [sha256.Size]byte(rest[:sha256.Size]) {
+		return nil, false, ErrChecksum
+	}
+	return rest[sha256.Size:], true, nil
 }
 
 // Put stores a payload under (kind, key), atomically replacing any
 // previous blob.
 func (s *Store) Put(kind, key string, payload []byte) error {
-	blob, err := encode(kind, key, payload, Version)
-	if err != nil {
-		return err
-	}
+	blob := encode(kind, key, payload, Version)
 	path := s.path(kind, key)
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
@@ -142,10 +174,12 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
-// Get returns the payload stored under (kind, key). A clean miss returns
-// (nil, false, nil); a blob that exists but cannot be trusted — torn
-// file, version mismatch, key collision — returns false together with
-// the reason, and callers fall back to recomputing.
+// Get returns the payload stored under (kind, key), a subslice of the
+// file's bytes that the caller owns. A clean miss — no blob, or a blob
+// of another (kind, key) behind a hash collision — returns
+// (nil, false, nil); a blob that exists but cannot be trusted — foreign
+// magic, version mismatch, checksum mismatch — returns false together
+// with the reason, and callers fall back to recomputing.
 func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 	blob, err := os.ReadFile(s.path(kind, key))
 	if errors.Is(err, os.ErrNotExist) {
@@ -156,22 +190,31 @@ func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 		s.misses.Add(1)
 		return nil, false, fmt.Errorf("artifact: %w", err)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
+	payload, ok, err := decode(blob, kind, key)
+	if !ok {
 		s.misses.Add(1)
-		return nil, false, fmt.Errorf("artifact: decode %s: %w", kind, err)
-	}
-	if env.Version != Version {
-		s.misses.Add(1)
-		return nil, false, fmt.Errorf("%w: blob v%d, want v%d", ErrVersion, env.Version, Version)
-	}
-	if env.Kind != kind || env.Key != key {
-		// Hash collision or foreign file: treat as a miss.
-		s.misses.Add(1)
-		return nil, false, nil
+		return nil, false, err
 	}
 	s.hits.Add(1)
-	return env.Payload, true, nil
+	return payload, true, nil
+}
+
+// AppendFloat64s appends the IEEE-754 bits of vs to b, little-endian:
+// the row layout of the flat payload codecs. NaN payloads and signed
+// zeros and infinities survive bit for bit.
+func AppendFloat64s(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// ReadFloat64s fills dst from the first 8*len(dst) bytes of b, the
+// inverse of AppendFloat64s.
+func ReadFloat64s(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // EncodeGob gob-encodes a typed payload for Put.

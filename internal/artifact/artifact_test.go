@@ -55,10 +55,7 @@ func TestVersionBumpRejected(t *testing.T) {
 	}
 	// Hand-write a blob framed at a future format version at the exact
 	// path Get will consult.
-	blob, err := encode("kind", "key", []byte("payload"), Version+1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encode("kind", "key", []byte("payload"), Version+1)
 	if err := os.WriteFile(st.path("kind", "key"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +79,84 @@ func TestTornBlobIsRejectedNotMisread(t *testing.T) {
 	_, ok, err := st.Get("kind", "key")
 	if ok || err == nil {
 		t.Fatalf("torn blob: ok=%v err=%v, want rejection with error", ok, err)
+	}
+}
+
+// A blob in the gob envelope of format version 1 fails the magic check:
+// a miss with a reason, never a misread payload.
+func TestGobEnvelopeBlobMisses(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := EncodeGob(struct {
+		Version   int
+		Kind, Key string
+		Payload   []byte
+	}{1, "kind", "key", []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path("kind", "key"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := st.Get("kind", "key"); ok || err == nil {
+		t.Fatalf("gob envelope: ok=%v err=%v payload=%q, want rejection with error", ok, err, got)
+	}
+	if err := st.Put("kind", "key", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := st.Get("kind", "key"); !ok || err != nil || string(got) != "payload" {
+		t.Fatalf("overwritten blob: %q, %v, %v", got, ok, err)
+	}
+}
+
+// Flipping any single byte of a blob — header, checksum or payload —
+// must make Get miss: a payload flip fails the checksum, a header flip
+// fails the magic, version, length or (kind, key) check.
+func TestEveryByteFlipMisses(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a payload long enough to span several words")
+	if err := st.Put("kind", "key|a=1", payload); err != nil {
+		t.Fatal(err)
+	}
+	path := st.path("kind", "key|a=1")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range good {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			bad := bytes.Clone(good)
+			bad[i] ^= mask
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, _ := st.Get("kind", "key|a=1"); ok {
+				t.Fatalf("byte %d ^ %#x: hit with payload %q", i, mask, got)
+			}
+		}
+	}
+	// A payload flip names the checksum.
+	bad := bytes.Clone(good)
+	bad[len(bad)-1] ^= 1
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Get("kind", "key|a=1"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("payload flip: err = %v, want ErrChecksum", err)
+	}
+	// Every truncation misses too.
+	for n := range good {
+		if err := os.WriteFile(path, good[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := st.Get("kind", "key|a=1"); ok {
+			t.Fatalf("blob truncated to %d bytes was a hit", n)
+		}
 	}
 }
 

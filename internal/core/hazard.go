@@ -83,10 +83,10 @@ func (s *System) hazardStoreKey(b *bench.Benchmark, inputSeed int64, spec ModelS
 	return fmt.Sprintf("sys=%s|%s|model=%+v", s.Fingerprint(), gk, spec.key()), nil
 }
 
-// loadHazard fetches a persisted hazard table; any miss, untrusted blob
-// or length mismatch against the live query stream falls back to
-// building (the store is an accelerator, never a correctness
-// dependency).
+// loadHazard fetches a persisted hazard table; any miss, untrusted or
+// undecodable blob, or length mismatch against the live query stream
+// falls back to building (the store is an accelerator, never a
+// correctness dependency).
 func (s *System) loadHazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec, queries int) *fi.Hazard {
 	if s.artifacts == nil {
 		return nil
@@ -99,14 +99,11 @@ func (s *System) loadHazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec,
 	if !ok {
 		return nil
 	}
-	var h fi.Hazard
-	if err := artifact.DecodeGob(payload, &h); err != nil {
+	h, err := decodeHazard(payload)
+	if err != nil || h.Queries() != queries {
 		return nil
 	}
-	if h.Queries() != queries || len(h.PerOp) != isa.NumOps {
-		return nil
-	}
-	return &h
+	return h
 }
 
 // saveHazard persists a freshly built table; write failures are ignored.
@@ -118,9 +115,23 @@ func (s *System) saveHazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec,
 	if err != nil {
 		return
 	}
-	payload, err := artifact.EncodeGob(h)
-	if err != nil {
-		return
+	_ = s.artifacts.Put(artifact.KindHazard, key, encodeHazard(h))
+}
+
+// encodeHazard lays a table out flat: PerOp then LogSurv, as
+// little-endian float64 bits (a -Inf survival tail included).
+func encodeHazard(h *fi.Hazard) []byte {
+	b := make([]byte, 0, 8*(len(h.PerOp)+len(h.LogSurv)))
+	return artifact.AppendFloat64s(artifact.AppendFloat64s(b, h.PerOp), h.LogSurv)
+}
+
+// decodeHazard parses a blob written by encodeHazard: isa.NumOps PerOp
+// values, then a LogSurv of at least one entry (the empty prefix).
+func decodeHazard(b []byte) (*fi.Hazard, error) {
+	if len(b)%8 != 0 || len(b) < 8*(isa.NumOps+1) {
+		return nil, fmt.Errorf("core: %d-byte hazard table", len(b))
 	}
-	_ = s.artifacts.Put(artifact.KindHazard, key, payload)
+	vs := make([]float64, len(b)/8)
+	artifact.ReadFloat64s(vs, b)
+	return &fi.Hazard{PerOp: vs[:isa.NumOps:isa.NumOps], LogSurv: vs[isa.NumOps:]}, nil
 }

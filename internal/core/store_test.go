@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -8,6 +10,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/dta"
+	"repro/internal/fi"
+	"repro/internal/isa"
 )
 
 func newStoreTestSystem(t *testing.T, st *artifact.Store) *System {
@@ -246,4 +250,112 @@ func TestGoldenLegacyGobPayloadRerecords(t *testing.T) {
 	if _, err := cpu.DecodeTrace(payload); err != nil {
 		t.Errorf("overwritten blob is not delta-encoded: %v", err)
 	}
+}
+
+// The flat hazard codec round-trips every float bit for bit, the -Inf
+// survival tail of a deterministic injection included.
+func TestHazardCodecRoundTripNegInfTail(t *testing.T) {
+	h := &fi.Hazard{PerOp: make([]float64, isa.NumOps), LogSurv: []float64{0, -1e-12, -0.5, math.Inf(-1), math.Inf(-1)}}
+	h.PerOp[1], h.PerOp[2], h.PerOp[3] = 1, 5e-324, math.Copysign(0, -1)
+	got, err := decodeHazard(encodeHazard(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2][]float64{{got.PerOp, h.PerOp}, {got.LogSurv, h.LogSurv}} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("length %d, want %d", len(pair[0]), len(pair[1]))
+		}
+		for i := range pair[1] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("value %d: %v, want %v", i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+	if got.Queries() != 4 || got.Survival() != 0 {
+		t.Errorf("decoded table: %d queries, survival %v", got.Queries(), got.Survival())
+	}
+}
+
+// A stored hazard payload of the wrong shape — a LogSurv one query short
+// or long, a torn value, PerOp alone, the gob encoding of before the
+// flat codec — is a miss: the table is rebuilt, bit-identical, and the
+// blob overwritten with one that loads.
+func TestMisshapedHazardBlobRebuilds(t *testing.T) {
+	b := bench.Median()
+	spec := ModelSpec{Kind: "C", Vdd: 0.7, FreqMHz: 860, Sigma: 0.010}
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newStoreTestSystem(t, st)
+	want, err := ref.Hazard(b, 42, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := ref.hazardStoreKey(b, 42, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeHazard(want)
+	gobBlob, err := artifact.EncodeGob(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"one query short": good[:len(good)-8],
+		"one query long":  append(bytes.Clone(good), good[len(good)-8:]...),
+		"torn value":      good[:len(good)-3],
+		"per-op only":     good[:8*isa.NumOps],
+		"gob":             gobBlob,
+	}
+	for name, payload := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := st.Put(artifact.KindHazard, key, payload); err != nil {
+				t.Fatal(err)
+			}
+			s := newStoreTestSystem(t, st)
+			got, err := s.Hazard(b, 42, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.HazardBuiltCount() != 1 || s.HazardLoadedCount() != 0 {
+				t.Fatalf("built %d, loaded %d: mis-shaped blob was served", s.HazardBuiltCount(), s.HazardLoadedCount())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("rebuilt table differs from the reference")
+			}
+			warm := newStoreTestSystem(t, st)
+			if _, err := warm.Hazard(b, 42, spec); err != nil {
+				t.Fatal(err)
+			}
+			if warm.HazardLoadedCount() != 1 {
+				t.Error("rebuilt table did not replace the mis-shaped blob")
+			}
+		})
+	}
+}
+
+// FuzzDecodeHazard feeds arbitrary payloads to the hazard decoder. It
+// must never panic; whatever it accepts has isa.NumOps PerOp values and
+// a non-empty LogSurv, and re-encodes to the same bytes.
+func FuzzDecodeHazard(f *testing.F) {
+	h := &fi.Hazard{PerOp: make([]float64, isa.NumOps), LogSurv: []float64{0, -0.25, math.Inf(-1)}}
+	h.PerOp[4] = 0.125
+	good := encodeHazard(h)
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(good[:8*isa.NumOps])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, err := decodeHazard(b)
+		if err != nil {
+			return
+		}
+		if len(h.PerOp) != isa.NumOps || len(h.LogSurv) < 1 {
+			t.Fatalf("accepted %d per-op values and %d survival entries", len(h.PerOp), len(h.LogSurv))
+		}
+		if again := encodeHazard(h); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoding drifted:\n %x\n %x", again, b)
+		}
+	})
 }

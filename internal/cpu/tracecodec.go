@@ -8,9 +8,8 @@
 // varint/zigzag delta encoding plus a DEFLATE pass, shrinking persisted
 // golden traces by well over the 2x the artifact-store tests pin,
 // while DecodeTrace round-trips bit-exactly. internal/core stores
-// encoded traces under the same artifact key as the legacy gob blobs
-// and falls back to gob when the magic prefix is absent, so existing
-// caches stay valid.
+// encoded traces under the same artifact key as the legacy gob blobs;
+// a payload without the magic prefix is a miss and is re-recorded.
 
 package cpu
 

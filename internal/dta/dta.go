@@ -18,10 +18,14 @@
 package dta
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,10 +130,9 @@ func KeyFor(op isa.Op, p Profile) Key {
 	return Key{Unit: circuit.UnitOf(op), Gen: GenFor(op, p)}
 }
 
-// Characterization holds the DTA result for one key at one voltage: the
-// raw arrival matrix and the per-endpoint CDFs. Endpoint indices 0..31
-// are the result bits; circuit.FlagEndpoint is the flag (compare unit
-// only).
+// Characterization holds the DTA result for one key at one voltage:
+// the raw arrival matrix. Endpoint indices 0..31 are the result bits;
+// circuit.FlagEndpoint is the flag (compare unit only).
 type Characterization struct {
 	Key     Key
 	Voltage float64
@@ -140,9 +143,6 @@ type Characterization struct {
 	// MaxPerCycle[c] is the largest arrival over all endpoints in cycle
 	// c, used by the joint (bootstrap) sampler.
 	MaxPerCycle []float64
-	// CDFs[e] is the empirical violation CDF of endpoint e (includes
-	// the voltage-scaled setup time).
-	CDFs []*timing.CDF
 	// SetupPs is the voltage-scaled flip-flop setup time.
 	SetupPs float64
 	// MaxPs is the largest arrival observed anywhere.
@@ -154,8 +154,33 @@ type Characterization struct {
 	}
 }
 
+// newCharacterization allocates a characterization whose arrival rows
+// and MaxPerCycle are consecutive windows, in that order, of one backing
+// array, which it returns too.
+func newCharacterization(key Key, voltage float64, cycles, endpoints int) (*Characterization, []float64) {
+	back := make([]float64, (endpoints+1)*cycles)
+	ch := &Characterization{
+		Key:         key,
+		Voltage:     voltage,
+		Cycles:      cycles,
+		Arrivals:    make([][]float64, endpoints),
+		MaxPerCycle: back[endpoints*cycles:],
+	}
+	for e := range ch.Arrivals {
+		ch.Arrivals[e] = back[e*cycles : (e+1)*cycles : (e+1)*cycles]
+	}
+	return ch, back
+}
+
 // NumEndpoints returns the endpoint count (32, or 33 with flag).
 func (c *Characterization) NumEndpoints() int { return len(c.Arrivals) }
+
+// CDF builds endpoint e's empirical violation CDF (setup time included).
+// Each call sorts a copy of the endpoint's arrivals; the injectors read
+// the violation grid instead.
+func (c *Characterization) CDF(e int) *timing.CDF {
+	return timing.NewCDF(c.Arrivals[e], c.SetupPs)
+}
 
 // OnsetMHz returns the highest frequency with zero violation probability
 // across all endpoints at this voltage (no noise).
@@ -206,24 +231,64 @@ func (c *Characterization) Grid() *ViolationGrid {
 	return c.grid.g
 }
 
+// newViolationGrid counts the grid from the arrivals, without sorting.
+// An arrival a violates at grid index i exactly when
+// a > float64(i)*StepPs - SetupPs, the comparison timing.CDF's
+// ViolationProb makes; the right-hand side never falls as i grows, so
+// a violates on a prefix [0, k) of the grid. Histogramming each
+// arrival's k and taking suffix sums gives every index's violation
+// count, and count/cycles is bit-for-bit the CDF's probability.
 func newViolationGrid(c *Characterization) *ViolationGrid {
-	g := &ViolationGrid{MaxPs: c.MaxPs + c.SetupPs, StepPs: 1}
-	// Violation probabilities fall with the period, so an endpoint
-	// violates somewhere on the grid exactly when it does at period 0.
-	for e, cdf := range c.CDFs {
-		if cdf.ViolationProb(0) > 0 {
+	const step = 1.0
+	setup := c.SetupPs
+	g := &ViolationGrid{MaxPs: c.MaxPs + setup, StepPs: step}
+	n := int(math.Ceil(g.MaxPs/step)) + 2
+	last := float64(n-1)*step - setup
+
+	// An endpoint is active when it violates at index 0, since
+	// violation counts only fall as the period grows.
+	for e, row := range c.Arrivals {
+		if slices.ContainsFunc(row, func(a float64) bool { return a > -setup }) {
 			g.Active = append(g.Active, e)
 		}
 	}
-	n := int(math.Ceil(g.MaxPs/g.StepPs)) + 2
+	na := len(g.Active)
+	g.Rows = make([]float64, n*na)
+	hist := make([]int, n+1)
+	for j, e := range g.Active {
+		row := c.Arrivals[e]
+		clear(hist)
+		for _, a := range row {
+			// k is the length of the prefix of grid indices at which a
+			// violates: 0 when it never does (NaN and -Inf included), n
+			// when it does everywhere (+Inf included).
+			k := 0
+			if a > last {
+				k = n
+			} else if a > -setup {
+				// ceil((a+setup)/step) is the boundary up to the
+				// rounding of the subtraction below; step to the exact
+				// one.
+				k = min(max(int(math.Ceil((a+setup)/step)), 1), n-1)
+				for !(a > float64(k-1)*step-setup) {
+					k--
+				}
+				for a > float64(k)*step-setup {
+					k++
+				}
+			}
+			hist[k]++
+		}
+		count := 0
+		for i := n - 1; i >= 0; i-- {
+			count += hist[i+1]
+			g.Rows[i*na+j] = float64(count) / float64(len(row))
+		}
+	}
 	g.PNone = make([]float64, n)
-	g.Rows = make([]float64, 0, n*len(g.Active))
 	for i := range g.PNone {
-		period := float64(i) * g.StepPs
 		pN := 1.0 // inactive endpoints contribute exact factors of 1
-		for _, e := range g.Active {
-			p := c.CDFs[e].ViolationProb(period)
-			g.Rows = append(g.Rows, p)
+		for _, p := range g.Row(i) {
 			pN *= 1 - p
 		}
 		g.PNone[i] = pN
@@ -319,24 +384,69 @@ func (c *Characterizer) storeKey(key Key, voltage float64) string {
 		int(math.Round(voltage*1000)))
 }
 
-// charWire is the persisted form of a Characterization: the raw arrival
-// matrix and scalars. CDFs are rebuilt from the arrivals on load (NewCDF
-// is deterministic), so the decoded characterization is bit-identical to
-// the computed one.
-type charWire struct {
-	Unit        int
-	Gen         string
-	Voltage     float64
-	Cycles      int
-	Arrivals    [][]float64
-	MaxPerCycle []float64
-	SetupPs     float64
-	MaxPs       float64
+// charMagic prefixes a persisted characterization.
+const charMagic = "FDTA1"
+
+// encodeCharacterization lays a characterization out flat, integers and
+// float64 bits little-endian: the magic, unit, generator name length
+// and bytes, cycle and endpoint counts, voltage, SetupPs and MaxPs,
+// then every arrival row in endpoint order and MaxPerCycle last.
+func encodeCharacterization(ch *Characterization) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 0, len(charMagic)+40+len(ch.Key.Gen)+8*(len(ch.Arrivals)+1)*ch.Cycles)
+	b = append(b, charMagic...)
+	b = le.AppendUint32(b, uint32(ch.Key.Unit))
+	b = le.AppendUint32(b, uint32(len(ch.Key.Gen)))
+	b = append(b, ch.Key.Gen...)
+	b = le.AppendUint32(b, uint32(ch.Cycles))
+	b = le.AppendUint32(b, uint32(len(ch.Arrivals)))
+	b = artifact.AppendFloat64s(b, []float64{ch.Voltage, ch.SetupPs, ch.MaxPs})
+	for _, row := range ch.Arrivals {
+		b = artifact.AppendFloat64s(b, row)
+	}
+	return artifact.AppendFloat64s(b, ch.MaxPerCycle)
+}
+
+// decodeCharacterization parses a blob written by
+// encodeCharacterization into one backing array. A blob that is not
+// exactly one header plus (endpoints+1) rows of cycles values, or that
+// names no ALU unit or more endpoints than a unit has, is an error.
+func decodeCharacterization(b []byte) (*Characterization, error) {
+	le := binary.LittleEndian
+	rest, ok := bytes.CutPrefix(b, []byte(charMagic))
+	if !ok {
+		return nil, errors.New("dta: not a flat characterization")
+	}
+	if len(rest) < 8 {
+		return nil, errors.New("dta: truncated characterization header")
+	}
+	unit, genLen := le.Uint32(rest), uint64(le.Uint32(rest[4:]))
+	rest = rest[8:]
+	if uint64(len(rest)) < genLen+32 {
+		return nil, errors.New("dta: truncated characterization header")
+	}
+	gen := string(rest[:genLen])
+	rest = rest[genLen:]
+	cycles, endpoints := le.Uint32(rest), le.Uint32(rest[4:])
+	var scalars [3]float64 // voltage, SetupPs, MaxPs
+	artifact.ReadFloat64s(scalars[:], rest[8:])
+	rest = rest[32:]
+	if unit >= uint32(circuit.NumUnits) {
+		return nil, fmt.Errorf("dta: unit %d out of range", unit)
+	}
+	if endpoints > circuit.NumEndpoints || uint64(len(rest)) != 8*(uint64(endpoints)+1)*uint64(cycles) {
+		return nil, fmt.Errorf("dta: %d bytes of rows for %d endpoints × %d cycles", len(rest), endpoints, cycles)
+	}
+	ch, back := newCharacterization(Key{Unit: circuit.UnitKind(unit), Gen: gen}, scalars[0], int(cycles), int(endpoints))
+	ch.SetupPs, ch.MaxPs = scalars[1], scalars[2]
+	artifact.ReadFloat64s(back, rest)
+	return ch, nil
 }
 
 // load fetches a characterization from the attached store. Any failure —
-// miss, torn blob, version mismatch — falls back to computing; the
-// store is an accelerator, never a correctness dependency.
+// miss, untrusted blob, undecodable or mis-shaped payload — falls back
+// to computing; the store is an accelerator, never a correctness
+// dependency.
 func (c *Characterizer) load(key Key, voltage float64) (*Characterization, bool) {
 	if c.store == nil {
 		return nil, false
@@ -345,49 +455,29 @@ func (c *Characterizer) load(key Key, voltage float64) (*Characterization, bool)
 	if !ok {
 		return nil, false
 	}
-	var w charWire
-	if err := artifact.DecodeGob(payload, &w); err != nil || !c.fits(&w, key, voltage) {
+	ch, err := decodeCharacterization(payload)
+	if err != nil || !c.fits(ch, key, voltage) {
 		return nil, false
-	}
-	ch := &Characterization{
-		Key:         Key{Unit: circuit.UnitKind(w.Unit), Gen: w.Gen},
-		Voltage:     w.Voltage,
-		Cycles:      w.Cycles,
-		Arrivals:    w.Arrivals,
-		MaxPerCycle: w.MaxPerCycle,
-		SetupPs:     w.SetupPs,
-		MaxPs:       w.MaxPs,
-	}
-	ch.CDFs = make([]*timing.CDF, len(w.Arrivals))
-	for e := range ch.CDFs {
-		ch.CDFs[e] = timing.NewCDF(w.Arrivals[e], w.SetupPs)
 	}
 	return ch, true
 }
 
-// fits reports whether a decoded blob has exactly the shape a
-// characterization of key at voltage under c's config has: the right
-// coordinate and cycle count, one full row per endpoint of the unit, and
-// a MaxPs that is the maximum of MaxPerCycle. A blob that decodes but
-// does not fit is a miss, never a wrong answer.
-func (c *Characterizer) fits(w *charWire, key Key, voltage float64) bool {
-	mV := int(math.Round(voltage * 1000))
-	if circuit.UnitKind(w.Unit) != key.Unit || w.Gen != key.Gen ||
-		int(math.Round(w.Voltage*1000)) != mV || w.Cycles != c.Cfg.Cycles ||
-		len(w.Arrivals) != numEndpoints(c.ALU.Units[key.Unit]) ||
-		len(w.MaxPerCycle) != w.Cycles {
+// fits reports whether a decoded characterization has exactly the shape
+// one of key at voltage under c's config has: the right coordinate and
+// cycle count, one row per endpoint of the unit (the decoder makes every
+// row and MaxPerCycle Cycles long), and a MaxPs that is the maximum of
+// MaxPerCycle. A blob that decodes but does not fit is a miss, never a
+// wrong answer.
+func (c *Characterizer) fits(ch *Characterization, key Key, voltage float64) bool {
+	if ch.Key != key || int(math.Round(ch.Voltage*1000)) != int(math.Round(voltage*1000)) ||
+		ch.Cycles != c.Cfg.Cycles || len(ch.Arrivals) != numEndpoints(c.ALU.Units[key.Unit]) {
 		return false
 	}
-	for _, row := range w.Arrivals {
-		if len(row) != w.Cycles {
-			return false
-		}
-	}
 	maxPs := 0.0
-	for _, v := range w.MaxPerCycle {
+	for _, v := range ch.MaxPerCycle {
 		maxPs = max(maxPs, v)
 	}
-	return w.MaxPs == maxPs
+	return ch.MaxPs == maxPs
 }
 
 // save persists a freshly computed characterization; write failures are
@@ -396,20 +486,7 @@ func (c *Characterizer) save(ch *Characterization) {
 	if c.store == nil {
 		return
 	}
-	payload, err := artifact.EncodeGob(charWire{
-		Unit:        int(ch.Key.Unit),
-		Gen:         ch.Key.Gen,
-		Voltage:     ch.Voltage,
-		Cycles:      ch.Cycles,
-		Arrivals:    ch.Arrivals,
-		MaxPerCycle: ch.MaxPerCycle,
-		SetupPs:     ch.SetupPs,
-		MaxPs:       ch.MaxPs,
-	})
-	if err != nil {
-		return
-	}
-	_ = c.store.Put(artifact.KindCharacterization, c.storeKey(ch.Key, ch.Voltage), payload)
+	_ = c.store.Put(artifact.KindCharacterization, c.storeKey(ch.Key, ch.Voltage), encodeCharacterization(ch))
 }
 
 // ForOp resolves and characterizes the op's key under a profile.
@@ -432,17 +509,8 @@ func (c *Characterizer) run(key Key, voltage float64, shards int) *Characterizat
 	delays := u.Netlist.DelaysAt(factor)
 	cycles := c.Cfg.Cycles
 
-	ch := &Characterization{
-		Key:         key,
-		Voltage:     voltage,
-		Cycles:      cycles,
-		Arrivals:    make([][]float64, numEndpoints(u)),
-		MaxPerCycle: make([]float64, cycles),
-		SetupPs:     c.ALU.Config.SetupPs * factor,
-	}
-	for e := range ch.Arrivals {
-		ch.Arrivals[e] = make([]float64, cycles)
-	}
+	ch, _ := newCharacterization(key, voltage, cycles, numEndpoints(u))
+	ch.SetupPs = c.ALU.Config.SetupPs * factor
 
 	// Seed depends on the key and voltage so characterizations are
 	// independent but reproducible. Operand pair 0 is the settled
@@ -471,10 +539,6 @@ func (c *Characterizer) run(key Key, voltage float64, shards int) *Characterizat
 		if worst > ch.MaxPs {
 			ch.MaxPs = worst
 		}
-	}
-	ch.CDFs = make([]*timing.CDF, len(ch.Arrivals))
-	for e := range ch.CDFs {
-		ch.CDFs[e] = timing.NewCDF(ch.Arrivals[e], ch.SetupPs)
 	}
 	return ch
 }

@@ -149,7 +149,7 @@ func TestMulFailsBeforeAdd(t *testing.T) {
 	// ... and the high sum endpoints (beyond the 17 bits a 16+16-bit
 	// sum can reach) must never toggle under 16-bit operands.
 	for e := 18; e < circuit.Width; e++ {
-		if add16.CDFs[e].MaxPs() != 0 {
+		if add16.CDF(e).MaxPs() != 0 {
 			t.Errorf("16-bit add toggled endpoint %d", e)
 		}
 	}
@@ -173,11 +173,11 @@ func TestHigherVoltageShiftsCDFRight(t *testing.T) {
 	fMid := (lo.OnsetMHz() + hi.OnsetMHz()) / 2
 	period := circuit.PeriodPs(fMid)
 	anyLo := false
-	for e := range lo.CDFs {
-		if lo.CDFs[e].ViolationProb(period) > 0 {
+	for e := range lo.Arrivals {
+		if lo.CDF(e).ViolationProb(period) > 0 {
 			anyLo = true
 		}
-		if hi.CDFs[e].ViolationProb(period) > 0 {
+		if hi.CDF(e).ViolationProb(period) > 0 {
 			t.Fatalf("0.8V endpoint %d violates below its onset", e)
 		}
 	}
@@ -195,8 +195,8 @@ func TestHighBitsFailEarlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := add.CDFs[3].MaxPs()
-	hi := add.CDFs[24].MaxPs()
+	lo := add.CDF(3).MaxPs()
+	hi := add.CDF(24).MaxPs()
 	if !(hi > lo) {
 		t.Errorf("bit24 max arrival %v not above bit3 %v", hi, lo)
 	}
@@ -272,10 +272,9 @@ func TestGenNamesSorted(t *testing.T) {
 	}
 }
 
-// TestViolationGridLayout pins the shared grid against the CDFs it
-// tabulates: Rows[i*na+k] is Active[k]'s violation probability at
-// period i, PNone[i] the product of survivals over every endpoint in
-// endpoint order, inactive endpoints never violate, and concurrent
+// TestViolationGridLayout pins the shared grid's layout: Active
+// ascending, one Rows entry per (grid index, active endpoint), every
+// value bit-identical to the CDF-based reference grid, and concurrent
 // first uses all get the one grid.
 func TestViolationGridLayout(t *testing.T) {
 	c := fixture()
@@ -302,28 +301,12 @@ func TestViolationGridLayout(t *testing.T) {
 	if g.MaxPs != ch.MaxPs+ch.SetupPs || len(g.Rows) != len(g.PNone)*len(g.Active) {
 		t.Fatalf("grid shape: MaxPs %v, %d rows over %d points × %d active", g.MaxPs, len(g.Rows), len(g.PNone), len(g.Active))
 	}
-	active := map[int]int{}
 	for k, e := range g.Active {
 		if k > 0 && e <= g.Active[k-1] {
 			t.Fatalf("Active not ascending: %v", g.Active)
 		}
-		active[e] = k
 	}
-	for i := range g.PNone {
-		period := float64(i) * g.StepPs
-		row := g.Row(i)
-		pN := 1.0
-		for e := 0; e < ch.NumEndpoints(); e++ {
-			p := ch.CDFs[e].ViolationProb(period)
-			pN *= 1 - p
-			if k, ok := active[e]; !ok && p != 0 {
-				t.Fatalf("inactive endpoint %d violates at %v ps", e, period)
-			} else if ok && row[k] != p {
-				t.Fatalf("Rows[%d*na+%d] = %v, endpoint %d CDF gives %v", i, k, row[k], e, p)
-			}
-		}
-		if g.PNone[i] != pN {
-			t.Fatalf("PNone[%d] = %v, want %v", i, g.PNone[i], pN)
-		}
+	if d := diffGrid(g, refViolationGrid(ch)); d != "" {
+		t.Fatal(d)
 	}
 }

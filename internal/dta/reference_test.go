@@ -73,9 +73,35 @@ func (c *Characterizer) RunSerial(key Key, voltage float64) *Characterization {
 			ch.MaxPs = worst
 		}
 	}
-	ch.CDFs = make([]*timing.CDF, nEP)
-	for e := range ch.CDFs {
-		ch.CDFs[e] = timing.NewCDF(ch.Arrivals[e], setup)
-	}
 	return ch
+}
+
+// refViolationGrid is the reference violation grid: every (grid index,
+// endpoint) probability read off the endpoint's sorted CDF by binary
+// search. The counting grid must reproduce it bit for bit.
+func refViolationGrid(c *Characterization) *ViolationGrid {
+	g := &ViolationGrid{MaxPs: c.MaxPs + c.SetupPs, StepPs: 1}
+	cdfs := make([]*timing.CDF, len(c.Arrivals))
+	for e := range cdfs {
+		cdfs[e] = c.CDF(e)
+		// Violation probabilities fall with the period, so an endpoint
+		// violates somewhere on the grid exactly when it does at period 0.
+		if cdfs[e].ViolationProb(0) > 0 {
+			g.Active = append(g.Active, e)
+		}
+	}
+	n := int(math.Ceil(g.MaxPs/g.StepPs)) + 2
+	g.PNone = make([]float64, n)
+	g.Rows = make([]float64, 0, n*len(g.Active))
+	for i := range g.PNone {
+		period := float64(i) * g.StepPs
+		pN := 1.0
+		for _, e := range g.Active {
+			p := cdfs[e].ViolationProb(period)
+			g.Rows = append(g.Rows, p)
+			pN *= 1 - p
+		}
+		g.PNone[i] = pN
+	}
+	return g
 }

@@ -71,9 +71,10 @@ func diffCharacterization(got, want *dta.Characterization) string {
 	}
 	// Probe every CDF on a half-picosecond grid past the largest period
 	// that can violate.
-	for e := range want.CDFs {
+	for e := range want.Arrivals {
+		gotCDF, wantCDF := got.CDF(e), want.CDF(e)
 		for p := 0.0; p <= want.MaxPs+want.SetupPs+2; p += 0.5 {
-			g, w := got.CDFs[e].ViolationProb(p), want.CDFs[e].ViolationProb(p)
+			g, w := gotCDF.ViolationProb(p), wantCDF.ViolationProb(p)
 			if math.Float64bits(g) != math.Float64bits(w) {
 				return fmt.Sprintf("endpoint %d ViolationProb(%v) = %v, reference %v", e, p, g, w)
 			}

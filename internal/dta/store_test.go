@@ -1,6 +1,10 @@
 package dta
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -59,9 +63,10 @@ func TestCharacterizationDeterministicUnderConcurrency(t *testing.T) {
 		if a.MaxPs != b.MaxPs || a.SetupPs != b.SetupPs {
 			t.Errorf("%v: scalars differ: %v/%v vs %v/%v", k, a.MaxPs, a.SetupPs, b.MaxPs, b.SetupPs)
 		}
-		for e := range a.CDFs {
-			if a.CDFs[e].MaxPs() != b.CDFs[e].MaxPs() ||
-				a.CDFs[e].ViolationProb(circuit.PeriodPs(1200)) != b.CDFs[e].ViolationProb(circuit.PeriodPs(1200)) {
+		for e := range a.Arrivals {
+			ac, bc := a.CDF(e), b.CDF(e)
+			if ac.MaxPs() != bc.MaxPs() ||
+				ac.ViolationProb(circuit.PeriodPs(1200)) != bc.ViolationProb(circuit.PeriodPs(1200)) {
 				t.Errorf("%v endpoint %d: CDF differs", k, e)
 			}
 		}
@@ -104,10 +109,11 @@ func TestCharacterizationStoreRoundTrip(t *testing.T) {
 		chCold.Cycles != chWarm.Cycles || chCold.Key != chWarm.Key {
 		t.Errorf("persisted scalars drifted: %+v vs %+v", chCold.Key, chWarm.Key)
 	}
-	for e := range chCold.CDFs {
+	for e := range chCold.Arrivals {
+		coldCDF, warmCDF := chCold.CDF(e), chWarm.CDF(e)
 		for _, f := range []float64{800, 1200, 1600, 2400} {
 			p := circuit.PeriodPs(f)
-			if chCold.CDFs[e].ViolationProb(p) != chWarm.CDFs[e].ViolationProb(p) {
+			if coldCDF.ViolationProb(p) != warmCDF.ViolationProb(p) {
 				t.Fatalf("endpoint %d CDF differs at %v MHz", e, f)
 			}
 		}
@@ -138,36 +144,67 @@ func TestStoreKeySeparatesConfigs(t *testing.T) {
 	}
 }
 
-// A blob that decodes but has the wrong shape for its key — another
-// coordinate, another cycle count, a missing endpoint, a short row, a
-// MaxPs that is not the maximum of MaxPerCycle — must miss: the
-// characterizer recomputes, returns the correct result and overwrites
-// the blob with a good one.
+// A payload that does not decode to a characterization of its key's
+// shape — another coordinate, another cycle count, a missing endpoint,
+// a short row, a MaxPs that is not the maximum of MaxPerCycle, trailing
+// or missing bytes, a wrong endpoint count field, a foreign magic —
+// must miss: the characterizer recomputes, returns the correct result
+// and overwrites the blob with a good one.
 func TestMisshapedBlobRecomputes(t *testing.T) {
 	key := Key{Unit: circuit.UnitCompare, Gen: "u16"} // flagged: 33 endpoints
 	want := newSmallCharacterizer().RunSerial(key, 0.7)
-	good := func() charWire {
-		w := charWire{
-			Unit: int(key.Unit), Gen: key.Gen, Voltage: 0.7, Cycles: want.Cycles,
-			MaxPerCycle: append([]float64(nil), want.MaxPerCycle...),
-			SetupPs:     want.SetupPs, MaxPs: want.MaxPs,
+	// good returns a fresh copy of the reference, so mutations do not
+	// leak between cases.
+	good := func() *Characterization {
+		ch, _ := newCharacterization(key, 0.7, want.Cycles, len(want.Arrivals))
+		for e, row := range want.Arrivals {
+			copy(ch.Arrivals[e], row)
 		}
-		for _, row := range want.Arrivals {
-			w.Arrivals = append(w.Arrivals, append([]float64(nil), row...))
+		copy(ch.MaxPerCycle, want.MaxPerCycle)
+		ch.SetupPs, ch.MaxPs = want.SetupPs, want.MaxPs
+		return ch
+	}
+	// headerLen is the byte length of an encoded header of key.
+	headerLen := len(charMagic) + 16 + len(key.Gen) + 24
+	shapes := map[string]func(ch *Characterization){
+		"unit":    func(ch *Characterization) { ch.Key.Unit = circuit.UnitSub },
+		"gen":     func(ch *Characterization) { ch.Key.Gen = "u32" },
+		"voltage": func(ch *Characterization) { ch.Voltage = 0.8 },
+		"cycles": func(ch *Characterization) {
+			ch.Cycles--
+			for e := range ch.Arrivals {
+				ch.Arrivals[e] = ch.Arrivals[e][:ch.Cycles]
+			}
+			ch.MaxPerCycle = ch.MaxPerCycle[:ch.Cycles]
+		},
+		"endpoints":     func(ch *Characterization) { ch.Arrivals = ch.Arrivals[:circuit.Width] },
+		"short row":     func(ch *Characterization) { ch.Arrivals[7] = ch.Arrivals[7][:ch.Cycles-1] },
+		"short max row": func(ch *Characterization) { ch.MaxPerCycle = ch.MaxPerCycle[1:] },
+		"max":           func(ch *Characterization) { ch.MaxPs /= 2 },
+	}
+	bytesCases := map[string]func(b []byte) []byte{
+		"trailing bytes":   func(b []byte) []byte { return append(b, make([]byte, 8)...) },
+		"odd length":       func(b []byte) []byte { return b[:len(b)-3] },
+		"header only":      func(b []byte) []byte { return b[:headerLen] },
+		"truncated header": func(b []byte) []byte { return b[:headerLen-1] },
+		"endpoint field": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[headerLen-28:], circuit.Width)
+			return b
+		},
+		"too many endpoints": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[headerLen-28:], circuit.NumEndpoints+1)
+			return b
+		},
+		"magic": func(b []byte) []byte { b[0] ^= 1; return b },
+	}
+	for name, mutate := range shapes {
+		bytesCases[name] = func([]byte) []byte {
+			ch := good()
+			mutate(ch)
+			return encodeCharacterization(ch)
 		}
-		return w
 	}
-	cases := map[string]func(w *charWire){
-		"unit":          func(w *charWire) { w.Unit = int(circuit.UnitSub) },
-		"gen":           func(w *charWire) { w.Gen = "u32" },
-		"voltage":       func(w *charWire) { w.Voltage = 0.8 },
-		"cycles":        func(w *charWire) { w.Cycles--; w.MaxPerCycle = w.MaxPerCycle[:w.Cycles] },
-		"endpoints":     func(w *charWire) { w.Arrivals = w.Arrivals[:circuit.Width] },
-		"short row":     func(w *charWire) { w.Arrivals[7] = w.Arrivals[7][:w.Cycles-1] },
-		"short max row": func(w *charWire) { w.MaxPerCycle = w.MaxPerCycle[1:] },
-		"max":           func(w *charWire) { w.MaxPs /= 2 },
-	}
-	for name, mutate := range cases {
+	for name, payload := range bytesCases {
 		t.Run(name, func(t *testing.T) {
 			st, err := artifact.Open(t.TempDir())
 			if err != nil {
@@ -175,13 +212,7 @@ func TestMisshapedBlobRecomputes(t *testing.T) {
 			}
 			c := newSmallCharacterizer()
 			c.SetStore(st)
-			w := good()
-			mutate(&w)
-			payload, err := artifact.EncodeGob(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), payload); err != nil {
+			if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), payload(encodeCharacterization(good()))); err != nil {
 				t.Fatal(err)
 			}
 			got, err := c.At(key, 0.7)
@@ -212,11 +243,7 @@ func TestMisshapedBlobRecomputes(t *testing.T) {
 	}
 	c := newSmallCharacterizer()
 	c.SetStore(st)
-	payload, err := artifact.EncodeGob(good())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), payload); err != nil {
+	if err := st.Put(artifact.KindCharacterization, c.storeKey(key, 0.7), encodeCharacterization(good())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.At(key, 0.7); err != nil {
@@ -225,4 +252,95 @@ func TestMisshapedBlobRecomputes(t *testing.T) {
 	if c.LoadedCount() != 1 || c.ComputedCount() != 0 {
 		t.Errorf("well-shaped blob missed: computed %d, loaded %d", c.ComputedCount(), c.LoadedCount())
 	}
+}
+
+// sameCharacterization reports whether two characterizations agree bit
+// for bit in every persisted field.
+func sameCharacterization(a, b *Characterization) bool {
+	return reflect.DeepEqual(encodeCharacterization(a), encodeCharacterization(b))
+}
+
+// TestCorruptCharacterizationBlobNeverServed flips a spread of bytes
+// across a stored characterization blob — every envelope and payload
+// header byte, the checksum, and rows throughout the payload — and
+// asserts that every flip misses, so no load ever serves a
+// characterization other than the stored one.
+func TestCorruptCharacterizationBlobNeverServed(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Unit: circuit.UnitMul, Gen: "u8"}
+	cold := newSmallCharacterizer()
+	cold.SetStore(st)
+	want, err := cold.At(key, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(st.Dir(), artifact.KindCharacterization+"-*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("blobs %v, %v", files, err)
+	}
+	good, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offsets []int
+	for i := 0; i < 512 && i < len(good); i++ {
+		offsets = append(offsets, i)
+	}
+	for i := 512; i < len(good); i += 997 {
+		offsets = append(offsets, i)
+	}
+	offsets = append(offsets, len(good)-1)
+	c := newSmallCharacterizer()
+	c.SetStore(st)
+	for _, i := range offsets {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0x10
+		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ch, ok := c.load(key, 0.7); ok {
+			t.Fatalf("byte %d flipped: corrupt blob was a hit (same characterization: %v)", i, sameCharacterization(ch, want))
+		}
+	}
+	if err := os.WriteFile(files[0], good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ch, ok := c.load(key, 0.7); !ok || !sameCharacterization(ch, want) {
+		t.Fatal("restored blob does not load")
+	}
+}
+
+// FuzzDecodeCharacterization feeds arbitrary payloads to the decoder. It
+// must never panic; whatever it accepts has one Cycles-long row per
+// endpoint (at most circuit.NumEndpoints) and a Cycles-long
+// MaxPerCycle, and re-encodes to the same bytes.
+func FuzzDecodeCharacterization(f *testing.F) {
+	c := NewCharacterizer(circuit.New(circuit.DefaultConfig()), timing.DefaultVddDelay(), Config{Cycles: 4, Seed: 5})
+	for _, k := range []Key{{Unit: circuit.UnitAdd, Gen: "u32"}, {Unit: circuit.UnitCompare, Gen: "s16"}} {
+		blob := encodeCharacterization(c.RunSerial(k, 0.7))
+		f.Add(blob)
+		f.Add(blob[:len(blob)-1])
+	}
+	f.Add([]byte(charMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ch, err := decodeCharacterization(b)
+		if err != nil {
+			return
+		}
+		if len(ch.Arrivals) > circuit.NumEndpoints || len(ch.MaxPerCycle) != ch.Cycles {
+			t.Fatalf("accepted %d endpoints, MaxPerCycle %d for %d cycles", len(ch.Arrivals), len(ch.MaxPerCycle), ch.Cycles)
+		}
+		for e, row := range ch.Arrivals {
+			if len(row) != ch.Cycles {
+				t.Fatalf("row %d has %d of %d cycles", e, len(row), ch.Cycles)
+			}
+		}
+		if again := encodeCharacterization(ch); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoding drifted:\n %x\n %x", again, b)
+		}
+	})
 }

@@ -318,8 +318,9 @@ func Fig2(o Options) (map[string][]float64, error) {
 	}
 	for i, c := range curves {
 		series := make([]float64, len(freqs))
+		cdf := chs[i].CDF(c.bit)
 		for j, f := range freqs {
-			series[j] = chs[i].CDFs[c.bit].ViolationProb(circuit.PeriodPs(f))
+			series[j] = cdf.ViolationProb(circuit.PeriodPs(f))
 		}
 		out[c.name] = series
 	}

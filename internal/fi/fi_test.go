@@ -219,7 +219,7 @@ func TestModelCRateMatchesCDF(t *testing.T) {
 	period := circuit.PeriodPs(f)
 	want := 1.0
 	for e := 0; e < mulCh.NumEndpoints(); e++ {
-		want *= 1 - mulCh.CDFs[e].ViolationProb(period)
+		want *= 1 - mulCh.CDF(e).ViolationProb(period)
 	}
 	want = 1 - want
 

@@ -47,9 +47,9 @@ type HazardModel interface {
 }
 
 // Hazard is the first-fault sampling table of one (golden trace, model)
-// pair. It is immutable after construction, safe for concurrent use,
-// and gob-encodable for the artifact store (both fields are exported
-// for that reason; treat them as read-only).
+// pair. It is immutable after construction and safe for concurrent use.
+// Both fields are exported so internal/core can persist them; treat
+// them as read-only.
 type Hazard struct {
 	// PerOp[op] is the marginal per-query injection probability of op
 	// over this model (zero for ops absent from the trace).

@@ -34,10 +34,14 @@ func newRefOpTable(c *dta.Characterization) *refOpTable {
 	for e := range t.pBit {
 		t.pBit[e] = make([]float64, n)
 	}
+	cdfs := make([]*timing.CDF, t.nEP)
+	for e := range cdfs {
+		cdfs[e] = c.CDF(e)
+	}
 	for i := 0; i < n; i++ {
 		pN := 1.0
 		for e := 0; e < t.nEP; e++ {
-			p := c.CDFs[e].ViolationProb(float64(i) * t.stepPs)
+			p := cdfs[e].ViolationProb(float64(i) * t.stepPs)
 			t.pBit[e][i] = p
 			pN *= 1 - p
 			if p > 0 {

@@ -1,6 +1,9 @@
 package mc
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -216,6 +219,63 @@ func TestGridResumeFromStore(t *testing.T) {
 		if c.Cached {
 			t.Error("cell with a different seed was served from the store")
 		}
+	}
+}
+
+// Flipping any byte of a checkpointed cell blob must make the cell a
+// miss, never a hit decoding to another Point, and a resumed grid over
+// the corrupt blob recomputes the cell bit-identically.
+func TestCorruptCellBlobNeverServed(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{
+		Spec: Spec{
+			System: system(),
+			Bench:  bench.Median(),
+			Model:  core.ModelSpec{Kind: "B+", Vdd: 0.7, Sigma: 0.010, FreqMHz: 665},
+			Trials: 8,
+			Seed:   3,
+		},
+		Store: st,
+	}
+	first, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := g.PlanCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(st.Dir(), artifact.KindGridCell+"-*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("cell blobs %v, %v", files, err)
+	}
+	good, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt, ok := loadCell(st, plan[0].Key); !ok || !reflect.DeepEqual(pt, first[0].Point) {
+		t.Fatal("intact blob does not load the computed Point")
+	}
+	for i := range good {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0x01
+		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if pt, ok := loadCell(st, plan[0].Key); ok {
+			t.Fatalf("byte %d of %d flipped: hit (same Point: %v)", i, len(good), reflect.DeepEqual(pt, first[0].Point))
+		}
+	}
+	g.Resume = true
+	again, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].Cached || !reflect.DeepEqual(again[0].Point, first[0].Point) {
+		t.Fatalf("resume over a corrupt blob: cached %v, point drifted %v", again[0].Cached, !reflect.DeepEqual(again[0].Point, first[0].Point))
 	}
 }
 
