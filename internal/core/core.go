@@ -213,11 +213,11 @@ func (spec ModelSpec) key() modelKey {
 }
 
 // Model instantiates the spec against this system, reusing a cached
-// instance when the same spec was built before. Models are immutable and
-// shareable, and building one (especially model C, which pulls DTA
-// characterizations for every ALU op) is far more expensive than a
-// lookup, so sweeps and the experiment runners hit this cache once per
-// (config, model, profile) instead of once per data point.
+// instance when the same spec was built before. Models are shareable and
+// behave as immutable. A model C instance fills each DTA key's table
+// (characterization, grid, hazard marginal) on first use, so one cached
+// instance per (config, model, profile), rather than one per data point,
+// keeps that work for every later query of the sweep.
 //
 // The cache is per-key singleflight: concurrent callers of one spec
 // block on a single build and share its result (including a build

@@ -584,8 +584,9 @@ func ck32(s string) int {
 }
 
 // Prewarm characterizes every (op, profile) key an ALU workload can hit
-// at the given voltage, in parallel. Calling it up front keeps the
-// Monte-Carlo hot path free of characterization stalls.
+// at the given voltage, in parallel. Model C characterizes a key on its
+// first query anyway; Prewarm front-loads all of them, for callers that
+// want (or time) every key before the first trial.
 func (c *Characterizer) Prewarm(profile Profile, voltage float64) error {
 	keys := map[Key]bool{}
 	for _, op := range isa.AllOps() {

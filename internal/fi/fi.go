@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/dta"
@@ -608,17 +609,25 @@ type ModelC struct {
 	sampling Sampling
 	periodPs float64
 	noise    *noiseScale
-	sigma    float64
 
+	char   *dta.Characterizer
+	vdd    float64
 	tables [isa.NumOps]*opTable
+	// filled[op] publishes tables[op] once it is filled; it is set from
+	// the start for ops without a table.
+	filled [isa.NumOps]atomic.Bool
 }
 
 // opTable is one model's view of a characterization: the violation
 // grid, shared with every other model-C instance at the same
 // characterization key and voltage, plus the state that depends on
 // this model's operating point. Ops sharing a characterization key
-// share one opTable within a model.
+// share one opTable within a model. A table starts as a shell holding
+// only its key; ModelC.table fills the rest on first use.
 type opTable struct {
+	key  dta.Key
+	fill sync.Once
+
 	ch  *dta.Characterization
 	g   *dta.ViolationGrid
 	nEP int
@@ -739,35 +748,66 @@ type ModelCConfig struct {
 	Sampling Sampling
 }
 
-// NewModelC builds the statistical model for one operating point; the
-// required characterizations run (and cache) on first use.
+// NewModelC builds the statistical model for one operating point. It
+// characterizes nothing: each DTA key's table is filled on the first
+// query of an op with that key, so a model pays only for the ALU units
+// its workload executes. The profile's generators are checked here, so
+// a bad profile still fails at construction.
 func NewModelC(ch *dta.Characterizer, cfg ModelCConfig) (*ModelC, error) {
 	m := &ModelC{
 		sem:      cfg.Sem,
 		sampling: cfg.Sampling,
 		periodPs: circuit.PeriodPs(cfg.FreqMHz),
-		sigma:    cfg.Sigma,
 		noise:    newNoiseScale(ch.Model, cfg.Vdd, timing.NewNoise(cfg.Sigma)),
+		char:     ch,
+		vdd:      cfg.Vdd,
 	}
-	built := map[dta.Key]*opTable{}
+	shells := map[dta.Key]*opTable{}
 	for _, op := range isa.AllOps() {
 		if !isa.IsALU(op) {
+			m.filled[op].Store(true)
 			continue
 		}
 		key := dta.KeyFor(op, cfg.Profile)
-		t, ok := built[key]
+		t, ok := shells[key]
 		if !ok {
-			c, err := ch.At(key, cfg.Vdd)
-			if err != nil {
+			if _, err := dta.Gen(key.Gen); err != nil {
 				return nil, err
 			}
-			g := c.Grid()
-			t = &opTable{ch: c, g: g, nEP: c.NumEndpoints(), dvSafe: m.noise.rejectFrom(m.periodPs, g.MaxPs)}
-			built[key] = t
+			t = &opTable{key: key}
+			shells[key] = t
 		}
 		m.tables[op] = t
 	}
 	return m, nil
+}
+
+// table returns op's table, filled, or nil for a non-ALU op. Past the
+// op's first query it costs one atomic load; it stays small enough to
+// inline into Inject.
+func (m *ModelC) table(op isa.Op) *opTable {
+	if !m.filled[op].Load() {
+		m.fillTable(op)
+	}
+	return m.tables[op]
+}
+
+// fillTable characterizes (or loads) op's key at the model's voltage,
+// once per table however many goroutines and ops ask at the same time,
+// then publishes the table for op.
+func (m *ModelC) fillTable(op isa.Op) {
+	t := m.tables[op]
+	t.fill.Do(func() {
+		c, err := m.char.At(t.key, m.vdd)
+		if err != nil {
+			// At fails only on an unknown generator, which NewModelC
+			// rejects.
+			panic("fi: model C table: " + err.Error())
+		}
+		t.ch, t.g, t.nEP = c, c.Grid(), c.NumEndpoints()
+		t.dvSafe = m.noise.rejectFrom(m.periodPs, t.g.MaxPs)
+	})
+	m.filled[op].Store(true)
 }
 
 // Name implements Model.
@@ -776,16 +816,6 @@ func (m *ModelC) Name() string { return "C" }
 // NewTrial implements Model.
 func (m *ModelC) NewTrial(rng *stats.TrialRand) Injector {
 	return &modelCInjector{cfg: m, rng: rng}
-}
-
-// OnsetMHz returns, per ALU op, the zero-noise frequency at which the
-// first violations appear (used by instruction characterization reports).
-func (m *ModelC) OnsetMHz(op isa.Op) float64 {
-	t := m.tables[op]
-	if t == nil {
-		return math.Inf(1)
-	}
-	return 1e6 / t.g.MaxPs
 }
 
 // injectProbAt returns the conditional probability that one query on
@@ -833,7 +863,7 @@ func (m *ModelC) hazardOf(t *opTable) float64 {
 // MarginalProb implements HazardModel: the injection probability of one
 // query with op, marginalized over the supply-noise distribution.
 func (m *ModelC) MarginalProb(op isa.Op) float64 {
-	t := m.tables[op]
+	t := m.table(op)
 	if t == nil {
 		return 0
 	}
@@ -846,7 +876,7 @@ func (m *ModelC) MarginalProb(op isa.Op) float64 {
 // drawn conditioned on non-emptiness — exactly the law of Inject given
 // that it flips at least one countable endpoint.
 func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, prevFlag bool) (uint32, bool, int) {
-	t := m.tables[op]
+	t := m.table(op)
 	if t == nil {
 		return result, flag, 0 // unreachable: MarginalProb(op) = 0
 	}
@@ -910,7 +940,7 @@ const rejectBudget = 4096
 // endpoint violates.
 func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag bool) (uint32, bool, int) {
 	c := in.cfg
-	t := c.tables[op]
+	t := c.table(op)
 	if t == nil {
 		return result, flag, 0
 	}

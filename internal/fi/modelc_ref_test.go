@@ -248,8 +248,9 @@ func TestModelCFastRejectIsSafe(t *testing.T) {
 			lim := ns.clip * ns.sigma
 			node := 2 * lim / float64(len(ns.table)-1)
 			seen := map[*opTable]bool{}
-			for _, tbl := range m.tables {
-				if tbl == nil || seen[tbl] {
+			for _, op := range aluOps() {
+				tbl := m.table(op)
+				if seen[tbl] {
 					continue
 				}
 				seen[tbl] = true
@@ -307,7 +308,7 @@ func TestModelCSharesGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.tables[op].g != c.Grid() || b.tables[op].g != c.Grid() {
+		if a.table(op).g != c.Grid() || b.table(op).g != c.Grid() {
 			t.Fatalf("op %v: models hold private grids", op)
 		}
 	}
