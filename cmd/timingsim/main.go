@@ -26,7 +26,7 @@ func main() {
 	freq := flag.Float64("freq", 707, "clock frequency in MHz")
 	vdd := flag.Float64("vdd", 0.7, "supply voltage in V")
 	sigma := flag.Float64("sigma", 0, "supply noise sigma in V")
-	probA := flag.Float64("probA", 1e-6, "model A per-endpoint flip probability")
+	probA := flag.Float64("probA", core.DefaultProbA, "model A per-endpoint flip probability")
 	trials := flag.Int("trials", 100, "Monte-Carlo trials (fixed mode)")
 	trialsMin := flag.Int("trials-min", 0, "adaptive mode: first batch size (with -trials-max)")
 	trialsMax := flag.Int("trials-max", 0, "adaptive mode: trial budget (0 = fixed -trials)")

@@ -60,9 +60,6 @@ type Segment struct {
 	Bytes []byte
 }
 
-// End returns the first address past the segment.
-func (s Segment) End() uint32 { return s.Base + uint32(len(s.Bytes)) }
-
 // Error describes an assembly failure with its source line.
 type Error struct {
 	Line int

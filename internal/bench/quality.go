@@ -69,7 +69,7 @@ func BitExactQuality(got, want []uint32) float64 {
 // power of the deviation, both over signed 32-bit interpretations —
 // the matrix-multiplication quality metric. Adding error power (e.g.
 // corrupting one more previously-correct word) strictly lowers the
-// score; SNRdB exposes the same ratio in decibels for reports.
+// score.
 func SNRQuality(got, want []uint32) float64 {
 	s, n, ok := signalNoisePower(got, want)
 	if !ok {
@@ -82,21 +82,6 @@ func SNRQuality(got, want []uint32) float64 {
 		return 0
 	}
 	return clamp01(s / (s + n))
-}
-
-// SNRdB returns the output SNR in decibels (10·log10(S/N)). Bit-exact
-// outputs have no noise: the result is +Inf, which callers rendering
-// reports should treat as "exact". Mismatched lengths or zero signal
-// with nonzero noise return -Inf.
-func SNRdB(got, want []uint32) float64 {
-	s, n, ok := signalNoisePower(got, want)
-	if !ok || (s == 0 && n > 0) {
-		return math.Inf(-1)
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(s/n)
 }
 
 func signalNoisePower(got, want []uint32) (s, n float64, ok bool) {

@@ -83,21 +83,6 @@ func TestSNRQuality(t *testing.T) {
 	}
 }
 
-func TestSNRdB(t *testing.T) {
-	want := []uint32{100, 200}
-	if db := SNRdB(want, want); !math.IsInf(db, 1) {
-		t.Errorf("exact SNRdB = %v, want +Inf", db)
-	}
-	if db := SNRdB([]uint32{100}, want); !math.IsInf(db, -1) {
-		t.Errorf("length mismatch SNRdB = %v, want -Inf", db)
-	}
-	// S = 100^2 + 200^2 = 50000, N = 100: 10*log10(500) ~ 26.99 dB.
-	got := []uint32{110, 200}
-	if db := SNRdB(got, want); db < 26 || db > 28 {
-		t.Errorf("SNRdB = %v, want about 27", db)
-	}
-}
-
 func TestRelErrQuality(t *testing.T) {
 	if q := RelErrQuality([]uint32{80}, []uint32{80}); q != 1 {
 		t.Errorf("exact = %v", q)

@@ -239,9 +239,6 @@ func New(cfg Config) *ALU {
 	return a
 }
 
-// Unit returns the netlist executing the given ALU instruction.
-func (a *ALU) Unit(op isa.Op) *Unit { return a.Units[UnitOf(op)] }
-
 // WorstEndpointPsAt returns the per-endpoint static worst arrival at a
 // global voltage-derived delay factor, recomputing STA with the per-gate
 // sensitivities (the paper's model B obtains these from STA runs at each
@@ -264,10 +261,6 @@ func (a *ALU) WorstEndpointPsAt(factor float64) [NumEndpoints]float64 {
 	}
 	return worst
 }
-
-// WorstEndpointPs returns the per-endpoint static worst arrival (ps,
-// reference voltage, excluding setup). Index FlagEndpoint is the flag.
-func (a *ALU) WorstEndpointPs() [NumEndpoints]float64 { return a.worstEndpoint }
 
 // STALimitMHz returns the static-timing frequency limit at the reference
 // voltage, which equals the configured sign-off clock by construction.
@@ -555,50 +548,4 @@ func buildShift(b *gates.Builder, k UnitKind, a, bIn []int32) []int32 {
 		cur = next
 	}
 	return cur
-}
-
-// EvalUnit functionally evaluates a unit on concrete operands using a
-// settled (zero-time) simulation; used by correctness tests and the DTA
-// self-checks. It returns the 32-bit result and the raw flag node value
-// (meaningful only for UnitCompare).
-func EvalUnit(u *Unit, sim *gates.Sim, a, b uint32) (uint32, bool) {
-	in := PackInputs(nil, a, b)
-	sim.Settle(in)
-	var r uint32
-	for i := 0; i < Width; i++ {
-		if sim.Value(u.Endpoint[i]) {
-			r |= 1 << uint(i)
-		}
-	}
-	fl := false
-	if u.HasFlag() {
-		fl = sim.Value(u.Flag)
-	}
-	return r, fl
-}
-
-// ReferenceResult computes the architecturally expected unit output for
-// functional verification.
-func ReferenceResult(k UnitKind, a, b uint32) uint32 {
-	switch k {
-	case UnitAdd:
-		return a + b
-	case UnitSub, UnitCompare:
-		return a - b
-	case UnitMul:
-		return uint32(int32(a) * int32(b))
-	case UnitSll:
-		return a << (b & 31)
-	case UnitSrl:
-		return a >> (b & 31)
-	case UnitSra:
-		return uint32(int32(a) >> (b & 31))
-	case UnitAnd:
-		return a & b
-	case UnitOr:
-		return a | b
-	case UnitXor:
-		return a ^ b
-	}
-	return 0
 }

@@ -404,20 +404,6 @@ func (c *Client) Submit(ctx context.Context, spec any) (SubmitResponse, error) {
 	return sr, nil
 }
 
-// Status fetches a job's status.
-func (c *Client) Status(ctx context.Context, id string) (Status, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
-		return Status{}, err
-	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Status{}, err
-	}
-	return st, nil
-}
-
 // Wait long-polls until the job is terminal or ctx expires. Each poll
 // bounds its server-side wait so a draining daemon releases us; the
 // loop (and its retry layer) carries on until a terminal state.

@@ -278,17 +278,20 @@ func (a *abortAfterCell) Flush() {
 // TestWorkerLossFailover kills a worker mid-grid: its cut lease is
 // requeued, the dead node is retired after the dial retries run out,
 // and the surviving worker finishes the job with results bit-identical
-// to the single-node run.
+// to the single-node run. Once both servers close, every goroutine the
+// job started — the cut lease stream included — has exited.
 func TestWorkerLossFailover(t *testing.T) {
 	spec := gridSpec(13)
 	want := csvOf(t, runBackend(t, server.GridBackend{System: system()}, spec))
 
-	good := startWorkers(t, 1, 0)
+	base := runtime.NumGoroutine()
+	good := httptest.NewServer((&Worker{System: system()}).Handler())
+	defer good.Close()
 	dying := &abortingWorker{inner: (&Worker{System: system()}).Handler()}
 	ts := httptest.NewServer(dying)
-	t.Cleanup(ts.Close)
+	defer ts.Close()
 
-	coord, err := New(system(), nil, []string{ts.URL, good[0]}, Config{LeaseCells: 4, Client: testClient()})
+	coord, err := New(system(), nil, []string{ts.URL, good.URL}, Config{LeaseCells: 4, Client: testClient()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +315,9 @@ func TestWorkerLossFailover(t *testing.T) {
 	if st.CellsCompleted != 8 {
 		t.Errorf("CellsCompleted = %d, want 8", st.CellsCompleted)
 	}
+	good.Close()
+	ts.Close()
+	leaktest.Settles(t, base)
 }
 
 // TestWorkStealing pins the tail-drain: one slow worker holds a big

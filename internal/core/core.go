@@ -152,13 +152,18 @@ func (s *System) NonALUSafeMHz(v float64) float64 {
 	return s.Cfg.NonALUSafeMHz / s.Cfg.Vdd.Factor(v)
 }
 
+// DefaultProbA is model A's per-endpoint flip probability when a
+// caller names the model without one.
+const DefaultProbA = 1e-6
+
 // ModelSpec selects and parameterizes a fault-injection model.
 type ModelSpec struct {
 	Kind    string // "none", "A", "B", "B+", "C"
 	Vdd     float64
 	FreqMHz float64
 	Sigma   float64 // supply-noise sigma in volts
-	// ProbA is model A's fixed per-endpoint flip probability.
+	// ProbA is model A's fixed per-endpoint flip probability. Grid
+	// cells of kind A replace a zero with DefaultProbA.
 	ProbA float64
 	// Profile selects operand-width-matched characterizations (model C).
 	Profile dta.Profile

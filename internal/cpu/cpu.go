@@ -193,9 +193,6 @@ func (c *CPU) Load(p *asm.Program) error {
 // SetWatchdog overrides the cycle budget.
 func (c *CPU) SetWatchdog(cycles uint64) { c.cfg.Watchdog = cycles }
 
-// Status returns how the last run ended.
-func (c *CPU) Status() Status { return c.status }
-
 // TrapErr returns the cause of a StatusTrapped run, or nil.
 func (c *CPU) TrapErr() error { return c.trapErr }
 

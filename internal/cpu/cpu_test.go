@@ -9,6 +9,9 @@ import (
 	"repro/internal/mem"
 )
 
+// Status returns how the last run ended.
+func (c *CPU) Status() Status { return c.status }
+
 func run(t *testing.T, src string, inj Injector) *CPU {
 	t.Helper()
 	c := load(t, src, inj)

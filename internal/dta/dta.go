@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,18 +62,6 @@ var gens = map[string]OperandGen{
 	"s16": func(r *rand.Rand) (uint32, uint32) {
 		return uint32(int32(int16(uint16(r.Uint32())))), uint32(int32(int16(uint16(r.Uint32()))))
 	},
-}
-
-// GenNames returns the registered generator names, sorted, so CLI help
-// text and docs render identically across runs (map iteration order
-// would reshuffle them).
-func GenNames() []string {
-	out := make([]string, 0, len(gens))
-	for n := range gens {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Gen returns a registered generator.

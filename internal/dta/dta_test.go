@@ -2,8 +2,6 @@ package dta
 
 import (
 	"math"
-	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -31,7 +29,7 @@ func fixture() *Characterizer {
 }
 
 func TestGenRegistry(t *testing.T) {
-	for _, n := range GenNames() {
+	for n := range gens {
 		if _, err := Gen(n); err != nil {
 			t.Errorf("registered gen %q not resolvable", n)
 		}
@@ -254,21 +252,6 @@ func TestMaxPerCycleConsistent(t *testing.T) {
 		if math.Abs(worst-c.MaxPerCycle[cyc]) > 1e-12 {
 			t.Fatalf("cycle %d: MaxPerCycle %v != recomputed %v", cyc, c.MaxPerCycle[cyc], worst)
 		}
-	}
-}
-
-// GenNames feeds CLI help text and docs, so its order must be stable
-// across runs (maps iterate in randomized order).
-func TestGenNamesSorted(t *testing.T) {
-	names := GenNames()
-	if len(names) == 0 {
-		t.Fatal("no registered generators")
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("GenNames not sorted: %v", names)
-	}
-	if !reflect.DeepEqual(names, GenNames()) {
-		t.Errorf("GenNames not deterministic")
 	}
 }
 

@@ -282,17 +282,8 @@ func (b *Builder) And(x, y int32) int32 { return b.add(KindAnd2, x, y, 0) }
 // Or adds a 2-input OR.
 func (b *Builder) Or(x, y int32) int32 { return b.add(KindOr2, x, y, 0) }
 
-// Nand adds a 2-input NAND.
-func (b *Builder) Nand(x, y int32) int32 { return b.add(KindNand2, x, y, 0) }
-
-// Nor adds a 2-input NOR.
-func (b *Builder) Nor(x, y int32) int32 { return b.add(KindNor2, x, y, 0) }
-
 // Xor adds a 2-input XOR.
 func (b *Builder) Xor(x, y int32) int32 { return b.add(KindXor2, x, y, 0) }
-
-// Xnor adds a 2-input XNOR.
-func (b *Builder) Xnor(x, y int32) int32 { return b.add(KindXnor2, x, y, 0) }
 
 // Xor3 adds a 3-input XOR (full-adder sum).
 func (b *Builder) Xor3(x, y, z int32) int32 { return b.add(KindXor3, x, y, z) }

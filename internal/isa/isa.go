@@ -216,15 +216,6 @@ func IsBranch(op Op) bool {
 	return false
 }
 
-// WritesRD reports whether the op writes a destination register.
-func WritesRD(op Op) bool {
-	switch ClassOf(op) {
-	case ClassAdder, ClassSubber, ClassMul, ClassLogic, ClassShift, ClassMovhi:
-		return true
-	}
-	return IsLoad(op)
-}
-
 // Primary opcode values (bits 31:26 of the instruction word).
 const (
 	pcJ     = 0x00

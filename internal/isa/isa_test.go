@@ -108,19 +108,6 @@ func TestClassPartitions(t *testing.T) {
 	}
 }
 
-func TestWritesRD(t *testing.T) {
-	cases := map[Op]bool{
-		OpAdd: true, OpAddi: true, OpMul: true, OpMovhi: true, OpLwz: true,
-		OpSw: false, OpSfeq: false, OpBf: false, OpJ: false, OpNop: false,
-		OpSys: false, OpJr: false,
-	}
-	for op, want := range cases {
-		if got := WritesRD(op); got != want {
-			t.Errorf("WritesRD(%v) = %v, want %v", op, got, want)
-		}
-	}
-}
-
 func TestSignExtension(t *testing.T) {
 	in := Instr{Op: OpAddi, RD: 1, RA: 2, Imm: -1}
 	w, err := Encode(in)

@@ -1,5 +1,6 @@
 // Package leaktest holds the goroutine-leak assertion shared by the
-// engine, daemon and cluster tests.
+// engine, daemon and cluster tests. It serves tests only: no binary
+// links it.
 package leaktest
 
 import (

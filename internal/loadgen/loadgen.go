@@ -1,8 +1,10 @@
-// Package loadgen is the traffic harness for the fisimd service layer:
-// an open-loop, mixed-priority load generator plus an HTTP fault proxy
-// (proxy.go). It sits beside internal/client (which it uses for the
-// wire protocol) and above nothing in the simulation stack — it drives
-// any daemon, real or httptest-backed, purely over HTTP.
+// Package loadgen is the test-only traffic harness for the fisimd
+// service layer: an open-loop, mixed-priority load generator plus an
+// HTTP fault proxy (proxy.go). No binary links it; TestSaturationSLO
+// and the client retry tests drive it. It sits beside internal/client
+// (which it uses for the wire protocol) and above nothing in the
+// simulation stack — it drives any daemon, real or httptest-backed,
+// purely over HTTP.
 //
 // Open-loop means arrivals are paced by the configured rate, not by the
 // server's responses, so saturation actually saturates: when the daemon
@@ -19,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -48,8 +49,6 @@ type LaneLoad struct {
 type Config struct {
 	// Base is the daemon (or fault proxy) base URL.
 	Base string
-	// HTTP overrides the transport (default http.DefaultClient).
-	HTTP *http.Client
 	// Lanes are the concurrent arrival processes.
 	Lanes []LaneLoad
 	// WaitTimeout bounds how long Run waits for accepted jobs to reach a
@@ -57,21 +56,17 @@ type Config struct {
 	// live past it are counted Lost — the invariant the chaos tests
 	// assert to be zero.
 	WaitTimeout time.Duration
-	// SubmitRetries is the per-submission attempt budget (default 1:
-	// raw submissions, so shed responses are observed rather than
-	// retried away; the retrying-client tests live in internal/client).
-	SubmitRetries int
 	// Seed fixes client jitter for reproducible runs.
 	Seed int64
 }
 
 // Percentiles summarizes a latency sample in milliseconds.
 type Percentiles struct {
-	P50 float64 `json:"p50_ms"`
-	P90 float64 `json:"p90_ms"`
-	P99 float64 `json:"p99_ms"`
-	Max float64 `json:"max_ms"`
-	N   int     `json:"n"`
+	P50 float64
+	P90 float64
+	P99 float64
+	Max float64
+	N   int
 }
 
 func percentiles(ms []float64) Percentiles {
@@ -91,34 +86,34 @@ func percentiles(ms []float64) Percentiles {
 
 // LaneReport is one lane's measured outcome.
 type LaneReport struct {
-	Priority  string `json:"priority"`
-	Submitted int    `json:"submitted"`
-	Accepted  int    `json:"accepted"` // new jobs scheduled (2xx, not deduped)
-	Deduped   int    `json:"deduped"`
+	Priority  string
+	Submitted int
+	Accepted  int // new jobs scheduled (2xx, not deduped)
+	Deduped   int
 	// Shed counts 429 refusals; RetryAfterSeen how many of them carried
 	// a positive Retry-After header (honest shedding advertises when to
 	// come back).
-	Shed           int `json:"shed"`
-	RetryAfterSeen int `json:"retry_after_seen"`
-	Errors         int `json:"errors"` // non-429 submission failures
-	Done           int `json:"done"`
-	Failed         int `json:"failed"`
-	Canceled       int `json:"canceled"`
+	Shed           int
+	RetryAfterSeen int
+	Errors         int // non-429 submission failures
+	Done           int
+	Failed         int
+	Canceled       int
 	// Lost counts accepted jobs that never reached a terminal state
 	// within WaitTimeout — the must-be-zero invariant.
-	Lost int `json:"lost"`
+	Lost int
 	// Start is time-to-start (created→started) and Terminal
 	// time-to-terminal (created→finished), from server timestamps.
-	Start            Percentiles `json:"time_to_start"`
-	Terminal         Percentiles `json:"time_to_terminal"`
-	ThroughputPerSec float64     `json:"throughput_jobs_per_sec"` // terminal jobs / wall time
+	Start            Percentiles
+	Terminal         Percentiles
+	ThroughputPerSec float64 // terminal jobs / wall time
 }
 
-// Report is one Run's outcome; cmd/fisimload prints it as JSON.
+// Report is one Run's outcome.
 type Report struct {
-	DurationSec float64      `json:"duration_sec"`
-	Lanes       []LaneReport `json:"lanes"`
-	TotalLost   int          `json:"total_lost"`
+	DurationSec float64
+	Lanes       []LaneReport
+	TotalLost   int
 }
 
 // Lane returns the report of the named lane (nil if absent).
@@ -133,9 +128,8 @@ func (r *Report) Lane(priority string) *LaneReport {
 
 // accepted is one job the daemon admitted, tracked to a terminal state.
 type accepted struct {
-	id      string
-	lane    int
-	deduped bool
+	id   string
+	lane int
 }
 
 // Run drives the configured lanes open-loop against cfg.Base, then
@@ -149,9 +143,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	}
 	if cfg.WaitTimeout <= 0 {
 		cfg.WaitTimeout = 120 * time.Second
-	}
-	if cfg.SubmitRetries <= 0 {
-		cfg.SubmitRetries = 1
 	}
 
 	start := time.Now()
@@ -170,8 +161,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		lane := cfg.Lanes[li]
 		reports[li].Priority = lane.Priority
 		cl := client.New(client.Config{
-			Base: cfg.Base, HTTP: cfg.HTTP, APIKey: lane.APIKey,
-			MaxAttempts: cfg.SubmitRetries, Seed: cfg.Seed + int64(li) + 1,
+			// One attempt per submission, so shed responses are
+			// observed rather than retried away.
+			Base: cfg.Base, APIKey: lane.APIKey,
+			MaxAttempts: 1, Seed: cfg.Seed + int64(li) + 1,
 			BaseDelay: 50 * time.Millisecond,
 		})
 		arrivals.Add(1)
@@ -207,7 +200,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	// retrying client — transient failures while polling must not turn
 	// into false "lost" verdicts.
 	waiter := client.New(client.Config{
-		Base: cfg.Base, HTTP: cfg.HTTP, MaxAttempts: 5,
+		Base: cfg.Base, MaxAttempts: 5,
 		Seed: cfg.Seed + 7919, BaseDelay: 100 * time.Millisecond,
 	})
 	wctx, wcancel := context.WithTimeout(ctx, cfg.WaitTimeout)
@@ -285,5 +278,5 @@ func submitOne(ctx context.Context, cl *client.Client, lane LaneLoad, li, i int,
 	} else {
 		reports[li].Accepted++
 	}
-	*acceptedJobs = append(*acceptedJobs, accepted{id: sr.ID, lane: li, deduped: sr.Deduped})
+	*acceptedJobs = append(*acceptedJobs, accepted{id: sr.ID, lane: li})
 }

@@ -3,9 +3,11 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,10 +34,18 @@ func system() *core.System {
 }
 
 // stubBackend simulates fixed-duration jobs so saturation tests control
-// service time exactly.
-type stubBackend struct{ delay time.Duration }
+// service time exactly. With failEvery > 0, every failEvery-th run fails
+// at once, the flaky backend the chaos case floods.
+type stubBackend struct {
+	delay     time.Duration
+	failEvery int64
+	runs      atomic.Int64
+}
 
-func (b stubBackend) Run(ctx context.Context, spec server.JobSpec, onProgress func(mc.Progress)) ([]mc.CellResult, error) {
+func (b *stubBackend) Run(ctx context.Context, spec server.JobSpec, onProgress func(mc.Progress)) ([]mc.CellResult, error) {
+	if n := b.runs.Add(1); b.failEvery > 0 && n%b.failEvery == 0 {
+		return nil, errors.New("stub: injected backend fault")
+	}
 	if b.delay > 0 {
 		select {
 		case <-time.After(b.delay):
@@ -47,12 +57,13 @@ func (b stubBackend) Run(ctx context.Context, spec server.JobSpec, onProgress fu
 	return nil, nil
 }
 
-// spec builds the i-th single-cell submission for a lane (the shape
-// cmd/fisimload submits); seeds make each one unique.
+// spec builds the i-th single-cell submission for a lane; seeds make
+// each one unique. The cells inject no faults, so a job's service time
+// is that of fault-free trials and the SLO bounds hold under -race.
 func spec(priority string, base int64, trials int) func(i int) map[string]any {
 	return func(i int) map[string]any {
 		return map[string]any{
-			"benches": []string{"median"}, "models": []string{"A"},
+			"benches": []string{"median"}, "models": []string{"none"},
 			"freqs": []float64{900}, "vdds": []float64{0.7},
 			"trials": trials, "seed": base + int64(i), "priority": priority,
 		}
@@ -81,7 +92,7 @@ func TestSaturationSLO(t *testing.T) {
 	}{
 		{
 			name:    "chaos-stub",
-			backend: &server.ChaosBackend{Inner: stubBackend{delay: 10 * time.Millisecond}, FailEvery: 9},
+			backend: &stubBackend{delay: 10 * time.Millisecond, failEvery: 9},
 			queue:   4,
 			trials:  2,
 			batch:   LaneLoad{Rate: 200, Jobs: 40, APIKey: "flooder"},
@@ -98,7 +109,7 @@ func TestSaturationSLO(t *testing.T) {
 			warmUp:  true,
 			batch:   LaneLoad{Rate: 50, Jobs: 60, APIKey: "batch-tenant"},
 			inter:   LaneLoad{Rate: 5, Jobs: 10, APIKey: "interactive-tenant"},
-			wait:    2 * time.Minute, // fisimload's -wait-timeout default
+			wait:    2 * time.Minute,
 			timeout: 5 * time.Minute,
 		},
 	}
@@ -193,7 +204,7 @@ func TestSaturationSLO(t *testing.T) {
 // TestDedupedLaneReporting pins the dedup accounting: identical specs
 // collapse onto one job and every tracked submission still resolves.
 func TestDedupedLaneReporting(t *testing.T) {
-	m := server.NewManager(server.Options{System: system(), Backend: stubBackend{}})
+	m := server.NewManager(server.Options{System: system(), Backend: &stubBackend{}})
 	defer m.Shutdown(context.Background())
 	ts := httptest.NewServer(server.Handler(m))
 	defer ts.Close()

@@ -119,7 +119,8 @@ type Grid struct {
 // Cells enumerates the grid's coordinates in their fixed evaluation
 // order: benchmark-major, then kind, Vdd, sigma, profile, and frequency
 // innermost (so a single-axis frequency grid enumerates exactly like a
-// sweep).
+// sweep). A kind-A cell whose spec leaves ProbA zero gets
+// core.DefaultProbA, so its key spells the probability it runs at.
 func (g Grid) Cells() []Cell {
 	s := g.Spec.withDefaults()
 	a := g.Axes.withDefaults(s)
@@ -132,6 +133,9 @@ func (g Grid) Cells() []Cell {
 						for _, f := range a.Freqs {
 							ms := s.Model
 							ms.Kind = kind
+							if kind == "A" && ms.ProbA == 0 {
+								ms.ProbA = core.DefaultProbA
+							}
 							ms.Vdd = vdd
 							ms.Sigma = sigma
 							ms.FreqMHz = f

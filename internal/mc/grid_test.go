@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -392,5 +393,35 @@ func TestCellKeySpelling(t *testing.T) {
 		"|path=firstfault|rng=x1|q=v1"
 	if got := cellKey("FP", "DIG", s, c); got != want {
 		t.Errorf("cell key spelling changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// A kind-A cell that names no flip probability runs at
+// core.DefaultProbA: the grid fills it in before keying, so the Point is
+// bit-identical to an explicit DefaultProbA cell, faults are injected,
+// and the key spells the probability (no ProbA:0 cell is ever stored).
+func TestModelADefaultProbA(t *testing.T) {
+	implicit := Spec{System: system(), Bench: bench.Median(), Trials: 24, Seed: 5}
+	explicit := implicit
+	explicit.Model.ProbA = core.DefaultProbA
+	axes := Axes{Kinds: []string{"A"}, Freqs: []float64{700}}
+	got, err := Grid{Spec: implicit, Axes: axes}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Grid{Spec: explicit, Axes: axes}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("zero-ProbA cell differs from DefaultProbA cell:\n%+v\n%+v", got, want)
+	}
+	if got[0].Model.ProbA != core.DefaultProbA || got[0].Point.FIRate == 0 {
+		t.Errorf("model A ran at ProbA %v with FI rate %v, want %v and faults",
+			got[0].Model.ProbA, got[0].Point.FIRate, core.DefaultProbA)
+	}
+	c := Grid{Spec: implicit, Axes: axes}.Cells()[0]
+	if key := cellKey("FP", "DIG", implicit.withDefaults(), c); !strings.Contains(key, "ProbA:1e-06") {
+		t.Errorf("cell key does not spell the default probability: %s", key)
 	}
 }

@@ -125,9 +125,6 @@ func (m *Memory) CloneFrom(src *Memory) {
 	m.Loads, m.Stores = src.Loads, src.Stores
 }
 
-// Size returns the total number of bytes backed by the memory.
-func (m *Memory) Size() uint32 { return uint32(len(m.bytes)) }
-
 func (m *Memory) check(addr uint32, size int, write bool) error {
 	if uint64(addr)+uint64(size) > uint64(len(m.bytes)) {
 		return &AccessError{Addr: addr, Size: size, Write: write, Why: "out of range"}
@@ -237,19 +234,4 @@ func (m *Memory) ReadWords(base uint32, n int) ([]uint32, error) {
 		out[i] = uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 	}
 	return out, nil
-}
-
-// WriteWords bulk-writes words starting at base, bypassing the counters;
-// used by benchmark input generators.
-func (m *Memory) WriteWords(base uint32, ws []uint32) error {
-	for i, w := range ws {
-		addr := base + uint32(4*i)
-		if uint64(addr)+4 > uint64(len(m.bytes)) || addr%4 != 0 {
-			return &AccessError{Addr: addr, Size: 4, Write: true, Why: "out of range or misaligned"}
-		}
-		m.mark(addr, addr+4)
-		b := m.bytes[addr:]
-		b[0], b[1], b[2], b[3] = byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-	}
-	return nil
 }

@@ -109,11 +109,16 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// Size returns the total number of bytes backed by the memory.
+func (m *Memory) Size() uint32 { return uint32(len(m.bytes)) }
+
 func TestBulkWords(t *testing.T) {
 	m := New()
 	in := []uint32{1, 2, 0xFFFFFFFF, 42}
-	if err := m.WriteWords(0x41000, in); err != nil {
-		t.Fatal(err)
+	for i, w := range in {
+		if err := m.StoreWord(0x41000+uint32(4*i), w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := m.ReadWords(0x41000, len(in))
 	if err != nil {
@@ -124,8 +129,8 @@ func TestBulkWords(t *testing.T) {
 			t.Errorf("word %d = %x, want %x", i, out[i], in[i])
 		}
 	}
-	if err := m.WriteWords(m.Size()-4, []uint32{1, 2}); err == nil {
-		t.Errorf("overflowing bulk write must fail")
+	if _, err := m.ReadWords(m.Size()-4, 2); err == nil {
+		t.Errorf("overflowing bulk read must fail")
 	}
 }
 
@@ -156,7 +161,7 @@ func TestResetDirtyTracking(t *testing.T) {
 		nWrites := rng.Intn(20)
 		for i := 0; i < nWrites; i++ {
 			addr := uint32(rng.Intn(int(m.Size())))
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
 				m.StoreWord(addr&^3, rng.Uint32())
 			case 1:
@@ -170,15 +175,6 @@ func TestResetDirtyTracking(t *testing.T) {
 				}
 				if uint64(addr)+uint64(len(img)) <= uint64(m.Size()) {
 					m.LoadImage(addr, img)
-				}
-			case 4:
-				ws := make([]uint32, rng.Intn(16))
-				for j := range ws {
-					ws[j] = rng.Uint32()
-				}
-				base := addr &^ 3
-				if uint64(base)+uint64(4*len(ws)) <= uint64(m.Size()) {
-					m.WriteWords(base, ws)
 				}
 			}
 		}
@@ -207,7 +203,9 @@ func TestCloneFrom(t *testing.T) {
 
 	// Populate src through a mix of paths.
 	src.LoadImage(128, []byte{1, 2, 3, 4, 5})
-	src.WriteWords(DMemBase+64, []uint32{9, 8, 7})
+	for i, w := range []uint32{9, 8, 7} {
+		src.StoreWord(DMemBase+64+uint32(4*i), w)
+	}
 	for i := 0; i < 100; i++ {
 		src.StoreWord(DMemBase+uint32(rng.Intn(1024))*4, rng.Uint32())
 	}

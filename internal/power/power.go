@@ -1,19 +1,12 @@
 // Package power models the active and leakage power of the simulated
 // core, calibrated on the paper's vcd-based post-layout reference points
 // (10.9 uW/MHz at 0.6 V and 15.0 uW/MHz at 0.7 V, with leakage consuming
-// 2% and 3% of core power respectively), and translates
-// frequency-over-scaling headroom into equivalent voltage and power
-// savings for the error-vs-power trade-off of Fig. 7.
+// 2% and 3% of core power respectively), and normalizes it to the
+// nominal supply for the error-vs-power trade-off of Fig. 7.
 //
 // power is a leaf model in the dependency graph, bound into the stack
 // by core and consumed by the Fig. 7 runner in experiments.
 package power
-
-import (
-	"fmt"
-
-	"repro/internal/timing"
-)
 
 // RefPoint is one power characterization sample.
 type RefPoint struct {
@@ -76,28 +69,4 @@ func (m Model) TotalUW(v, fMHz float64) float64 {
 // of the paper's Fig. 7.
 func (m Model) Normalized(v, vRef, fMHz float64) float64 {
 	return m.TotalUW(v, fMHz) / m.TotalUW(vRef, fMHz)
-}
-
-// Savings describes one voltage-over-scaling operating point derived from
-// frequency headroom.
-type Savings struct {
-	HeadroomFactor  float64 // f_capability / f_nominal at vRef
-	EquivalentV     float64 // reduced supply with equal capability at f_nominal
-	NormalizedPower float64 // total power relative to vRef
-}
-
-// FromHeadroom translates a frequency headroom factor (how much faster
-// than nominal the application could run at vRef before its quality
-// target is violated) into an equivalent supply reduction at the nominal
-// clock and the resulting normalized power, following Sec. 4.4.
-func FromHeadroom(m Model, vm timing.VddDelay, vRef, fMHz, headroom float64) (Savings, error) {
-	if headroom < 1 {
-		return Savings{}, fmt.Errorf("power: headroom factor %v below 1", headroom)
-	}
-	veq := vm.EquivalentVoltage(headroom)
-	return Savings{
-		HeadroomFactor:  headroom,
-		EquivalentV:     veq,
-		NormalizedPower: m.Normalized(veq, vRef, fMHz),
-	}, nil
 }

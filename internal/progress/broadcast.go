@@ -16,7 +16,7 @@ import "sync"
 //
 // A new subscriber immediately receives the most recently published
 // value, if any, so a progress display attached mid-run starts from the
-// current state instead of waiting for the next tick. Close closes
+// current state instead of waiting for the next tick. CloseWith closes
 // every subscriber channel; the last published value remains readable
 // through Last.
 type Broadcaster[T any] struct {
@@ -38,6 +38,11 @@ func NewBroadcaster[T any]() *Broadcaster[T] {
 func (b *Broadcaster[T]) Publish(v T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.publishLocked(v)
+}
+
+// publishLocked is Publish for callers that hold mu.
+func (b *Broadcaster[T]) publishLocked(v T) {
 	if b.closed {
 		return
 	}
@@ -66,18 +71,16 @@ func (b *Broadcaster[T]) Publish(v T) {
 // Subscribe registers a new observer. The returned channel has capacity
 // one and carries the latest value at each receive; it is closed when
 // the broadcaster closes. Subscribing to an already-closed broadcaster
-// still delivers the final published value (if any) before the close,
-// so an observer that races the producer's terminal Publish+Close never
-// misses the terminal snapshot. The cancel function unregisters the
-// observer (idempotent, safe after Close).
+// still delivers the final value before the close, so an observer that
+// races the producer's CloseWith never misses the terminal snapshot.
+// The cancel function unregisters the observer (idempotent, safe after
+// CloseWith).
 func (b *Broadcaster[T]) Subscribe() (<-chan T, func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ch := make(chan T, 1)
 	if b.closed {
-		if b.seeded {
-			ch <- b.last
-		}
+		ch <- b.last // CloseWith published it
 		close(ch)
 		return ch, func() {}
 	}
@@ -95,49 +98,18 @@ func (b *Broadcaster[T]) Subscribe() (<-chan T, func()) {
 	return ch, cancel
 }
 
-// Close closes every subscriber channel and marks the broadcaster
-// terminal. It is idempotent. Publish after Close is a no-op, so the
-// value published immediately before Close is the one subscribers drain
-// last.
-func (b *Broadcaster[T]) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closeLocked()
-}
-
-// CloseWith publishes v and closes in one critical section, so no
-// subscriber can observe the close without having been offered the
-// final value first — the terminal-snapshot idiom (publish, then close)
-// without the two-step.
+// CloseWith publishes v and closes every subscriber channel in one
+// critical section, so no subscriber can observe the close without
+// having been offered the final value first. It is idempotent: after
+// the first call, CloseWith and Publish are no-ops, and v remains
+// readable through Last.
 func (b *Broadcaster[T]) CloseWith(v T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	b.last, b.seeded = v, true
-	for ch := range b.subs {
-		select {
-		case ch <- v:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- v:
-			default:
-			}
-		}
-	}
-	b.closeLocked()
-}
-
-// closeLocked closes every subscriber channel. Callers hold mu.
-func (b *Broadcaster[T]) closeLocked() {
-	if b.closed {
-		return
-	}
+	b.publishLocked(v)
 	b.closed = true
 	for ch := range b.subs {
 		close(ch)
@@ -146,7 +118,7 @@ func (b *Broadcaster[T]) closeLocked() {
 }
 
 // Last returns the most recently published value and whether one was
-// ever published. It remains valid after Close, so late status queries
+// ever published. It remains valid after CloseWith, so late status queries
 // can read the terminal snapshot.
 func (b *Broadcaster[T]) Last() (T, bool) {
 	b.mu.Lock()

@@ -26,44 +26,6 @@ func TestBroadcasterCoalesces(t *testing.T) {
 	}
 }
 
-func TestBroadcasterCloseEndsStreams(t *testing.T) {
-	b := NewBroadcaster[string]()
-	ch, _ := b.Subscribe()
-	b.Publish("terminal")
-	b.Close()
-	b.Publish("after close") // must be dropped
-
-	if got, ok := <-ch; !ok || got != "terminal" {
-		t.Fatalf("pre-close value = %q, %v; want terminal, true", got, ok)
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("channel still open after Close")
-	}
-	if last, ok := b.Last(); !ok || last != "terminal" {
-		t.Fatalf("Last() = %q, %v after Close", last, ok)
-	}
-
-	// Subscribing to a closed broadcaster still delivers the terminal
-	// value, then closes — a late observer never misses the final state.
-	ch2, cancel2 := b.Subscribe()
-	cancel2()
-	if got, ok := <-ch2; !ok || got != "terminal" {
-		t.Fatalf("post-close subscription = %q, %v; want terminal, true", got, ok)
-	}
-	if _, ok := <-ch2; ok {
-		t.Fatal("post-close subscription not closed after the terminal value")
-	}
-
-	// A never-seeded closed broadcaster yields a bare closed channel.
-	b2 := NewBroadcaster[string]()
-	b2.Close()
-	ch3, cancel3 := b2.Subscribe()
-	cancel3()
-	if _, ok := <-ch3; ok {
-		t.Fatal("unseeded post-close subscription delivered a value")
-	}
-}
-
 // TestBroadcasterCloseWith pins the atomic terminal publish: every live
 // subscriber sees the final value (replacing any stale pending one)
 // before its channel closes, and late subscribers are seeded with it.
@@ -94,7 +56,7 @@ func TestBroadcasterCloseWith(t *testing.T) {
 		t.Fatal("late subscription not closed after the terminal value")
 	}
 
-	// Publishing after CloseWith is dropped, like after Close.
+	// Publishing after CloseWith is dropped.
 	b.Publish("after")
 	if last, _ := b.Last(); last != "final" {
 		t.Fatalf("Last() = %q after post-close publish, want final", last)
@@ -130,5 +92,5 @@ func TestBroadcasterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	b.Close()
+	b.CloseWith(-1)
 }

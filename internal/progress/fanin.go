@@ -77,23 +77,6 @@ func (f *Fanin) Close(src string, final Counts) {
 	f.emitLocked()
 }
 
-// Discard retires a source folding nothing — a failed lease whose
-// unfinished work returns to the queue. The caller salvages any
-// completed portion separately via Fold.
-func (f *Fanin) Discard(src string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.live, src)
-	f.emitLocked()
-}
-
-// Snapshot returns the current aggregate.
-func (f *Fanin) Snapshot() Counts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.aggregateLocked()
-}
-
 func (f *Fanin) aggregateLocked() Counts {
 	agg := f.base
 	for _, c := range f.live {

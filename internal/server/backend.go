@@ -1,20 +1,14 @@
 // The trial-execution backend boundary. The manager schedules and
-// accounts for jobs; a Backend actually runs them. Today the only
-// production backend is GridBackend — the in-process mc worker pool the
-// daemon has always used — but the boundary is what the ROADMAP's
-// remote-node coordinator will slot into, and it is where the chaos
-// harness injects slow and flaky execution without touching the
-// manager: ChaosBackend wraps any Backend with deterministic,
-// test-controlled faults.
+// accounts for jobs; a Backend actually runs them: GridBackend is the
+// in-process mc worker pool, and internal/cluster's coordinator fans
+// the same specs out to remote workers. The boundary is also where the
+// chaos tests inject slow and flaky execution without touching the
+// manager.
 
 package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -86,80 +80,4 @@ type ClusterStats struct {
 // cluster; /v1/stats includes their counters when present.
 type ClusterReporter interface {
 	ClusterStats() ClusterStats
-}
-
-// ErrInjected is the failure ChaosBackend injects; chaos tests assert
-// the job's recorded cause wraps it.
-var ErrInjected = errors.New("chaos: injected backend fault")
-
-// ChaosBackend wraps a Backend with injectable faults for the chaos
-// harness: a fixed per-job startup delay (slow backend) and a
-// deterministic every-Nth-job failure that aborts the inner run
-// mid-grid. It is exported because the load/chaos tests in both this
-// package and internal/loadgen drive it, and because it documents by
-// construction what failure modes the manager is hardened against.
-type ChaosBackend struct {
-	Inner Backend
-	// Delay is slept (context-aware) before every run.
-	Delay time.Duration
-	// FailEvery injects a failure into every Nth run (1 = every run,
-	// 0 = never).
-	FailEvery int
-	// FailAfterPoints lets the doomed run complete this many grid points
-	// before aborting, so the store holds a genuine partial checkpoint;
-	// 0 fails before the run starts.
-	FailAfterPoints int
-
-	mu   sync.Mutex
-	runs int
-}
-
-// Runs reports how many runs the backend has seen.
-func (c *ChaosBackend) Runs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
-// Run delays, then either executes the inner backend transparently or —
-// on a doomed run — aborts it after FailAfterPoints completed points
-// and reports ErrInjected as the cause.
-func (c *ChaosBackend) Run(ctx context.Context, spec JobSpec, onProgress func(mc.Progress)) ([]mc.CellResult, error) {
-	c.mu.Lock()
-	c.runs++
-	doomed := c.FailEvery > 0 && c.runs%c.FailEvery == 0
-	c.mu.Unlock()
-
-	if c.Delay > 0 {
-		select {
-		case <-time.After(c.Delay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if !doomed {
-		return c.Inner.Run(ctx, spec, onProgress)
-	}
-	if c.FailAfterPoints <= 0 {
-		return nil, fmt.Errorf("%w (before start)", ErrInjected)
-	}
-	// Let the inner run make real progress, then cut it down through its
-	// own context — exactly the shape of a worker dying mid-grid — and
-	// report the injected cause, not the cancellation.
-	inner, abort := context.WithCancel(ctx)
-	defer abort()
-	var once sync.Once
-	cells, err := c.Inner.Run(inner, spec, func(p mc.Progress) {
-		if p.DonePoints >= c.FailAfterPoints {
-			once.Do(abort)
-		}
-		onProgress(p)
-	})
-	if err == nil || (errors.Is(err, context.Canceled) && ctx.Err() == nil) {
-		// Finished before the axe fell (grid smaller than the threshold),
-		// or aborted by us rather than the caller: either way this run
-		// was doomed, so surface the injected fault.
-		return cells, fmt.Errorf("%w (after %d points)", ErrInjected, c.FailAfterPoints)
-	}
-	return cells, err
 }

@@ -2,19 +2,98 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/mc"
 )
+
+// errInjected is the failure chaosBackend injects; chaos tests assert
+// the job's recorded cause wraps it.
+var errInjected = errors.New("chaos: injected backend fault")
+
+// chaosBackend wraps a Backend with injectable faults for the chaos
+// tests: a fixed per-job startup delay (slow backend) and a
+// deterministic every-Nth-job failure that aborts the inner run
+// mid-grid. It documents by construction what failure modes the
+// manager is hardened against.
+type chaosBackend struct {
+	Inner Backend
+	// Delay is slept (context-aware) before every run.
+	Delay time.Duration
+	// FailEvery injects a failure into every Nth run (1 = every run,
+	// 0 = never).
+	FailEvery int
+	// FailAfterPoints lets the doomed run complete this many grid points
+	// before aborting, so the store holds a genuine partial checkpoint;
+	// 0 fails before the run starts.
+	FailAfterPoints int
+
+	mu   sync.Mutex
+	runs int
+}
+
+// Runs reports how many runs the backend has seen.
+func (c *chaosBackend) Runs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.runs
+}
+
+// Run delays, then either executes the inner backend transparently or —
+// on a doomed run — aborts it after FailAfterPoints completed points
+// and reports errInjected as the cause.
+func (c *chaosBackend) Run(ctx context.Context, spec JobSpec, onProgress func(mc.Progress)) ([]mc.CellResult, error) {
+	c.mu.Lock()
+	c.runs++
+	doomed := c.FailEvery > 0 && c.runs%c.FailEvery == 0
+	c.mu.Unlock()
+
+	if c.Delay > 0 {
+		select {
+		case <-time.After(c.Delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if !doomed {
+		return c.Inner.Run(ctx, spec, onProgress)
+	}
+	if c.FailAfterPoints <= 0 {
+		return nil, fmt.Errorf("%w (before start)", errInjected)
+	}
+	// Let the inner run make real progress, then cut it down through its
+	// own context — exactly the shape of a worker dying mid-grid — and
+	// report the injected cause, not the cancellation.
+	inner, abort := context.WithCancel(ctx)
+	defer abort()
+	var once sync.Once
+	cells, err := c.Inner.Run(inner, spec, func(p mc.Progress) {
+		if p.DonePoints >= c.FailAfterPoints {
+			once.Do(abort)
+		}
+		onProgress(p)
+	})
+	if err == nil || (errors.Is(err, context.Canceled) && ctx.Err() == nil) {
+		// Finished before the axe fell (grid smaller than the threshold),
+		// or aborted by us rather than the caller: either way this run
+		// was doomed, so surface the injected fault.
+		return cells, fmt.Errorf("%w (after %d points)", errInjected, c.FailAfterPoints)
+	}
+	return cells, err
+}
 
 // TestChaosBackendFailureMarksFailed drives a flaky backend: an
 // injected fault mid-run marks the job failed with the injected cause,
 // the failure does not satisfy dedup, and stats count it honestly.
 func TestChaosBackendFailureMarksFailed(t *testing.T) {
-	chaos := &ChaosBackend{Inner: &fakeBackend{}, FailEvery: 2}
+	chaos := &chaosBackend{Inner: &fakeBackend{}, FailEvery: 2}
 	m := NewManager(Options{System: system(), Backend: chaos})
 	defer m.Shutdown(context.Background())
 
@@ -35,7 +114,7 @@ func TestChaosBackendFailureMarksFailed(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("doomed run state = %s, want failed", st.State)
 	}
-	if !strings.Contains(st.Error, ErrInjected.Error()) {
+	if !strings.Contains(st.Error, errInjected.Error()) {
 		t.Errorf("failure cause %q does not carry the injected fault", st.Error)
 	}
 	if _, err := m.Result(bad.ID); err == nil {
@@ -77,7 +156,7 @@ func TestChaosMidGridFailureResumesFromStore(t *testing.T) {
 	}
 	sys1 := core.New(testConfig())
 	sys1.AttachStore(store1)
-	chaos := &ChaosBackend{
+	chaos := &chaosBackend{
 		Inner:           GridBackend{System: sys1, Store: store1},
 		FailEvery:       1,
 		FailAfterPoints: 1,
@@ -91,7 +170,7 @@ func TestChaosMidGridFailureResumesFromStore(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("chaos run state = %s (%s), want failed", st.State, st.Error)
 	}
-	if !strings.Contains(st.Error, ErrInjected.Error()) {
+	if !strings.Contains(st.Error, errInjected.Error()) {
 		t.Errorf("chaos run cause %q does not carry the injected fault", st.Error)
 	}
 	m1.Shutdown(context.Background())
@@ -132,7 +211,7 @@ func TestChaosMidGridFailureResumesFromStore(t *testing.T) {
 // TestChaosSlowBackendCancel pins that a slow backend stays cancellable:
 // the injected delay is context-aware, so a cancel lands immediately.
 func TestChaosSlowBackendCancel(t *testing.T) {
-	chaos := &ChaosBackend{Inner: &fakeBackend{}, Delay: time.Hour}
+	chaos := &chaosBackend{Inner: &fakeBackend{}, Delay: time.Hour}
 	m := NewManager(Options{System: system(), Backend: chaos})
 	defer m.Shutdown(context.Background())
 

@@ -380,12 +380,6 @@ func (m *Manager) releaseLocked(j *Job) {
 	}
 }
 
-// Submit canonicalizes and enqueues an anonymous job — the in-process
-// convenience form of SubmitAs.
-func (m *Manager) Submit(spec JobSpec) (*Job, bool, error) {
-	return m.SubmitAs("", spec)
-}
-
 // SubmitAs canonicalizes and enqueues a job on behalf of a client.
 // Admission order: the client's token bucket first (every submission
 // costs a token, deduped ones included), then dedup — if a live job

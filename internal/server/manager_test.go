@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// Submit canonicalizes and enqueues an anonymous job — the in-process
+// convenience form of SubmitAs.
+func (m *Manager) Submit(spec JobSpec) (*Job, bool, error) {
+	return m.SubmitAs("", spec)
+}
+
 // TestObserveLockedZeroSeed is the regression test for the EWMA seeding
 // sentinel: a first observation with zero per-cell seconds (an instant
 // fake-backend job, or a sub-resolution real one) is a legitimate data

@@ -723,3 +723,26 @@ func TestQueueFull(t *testing.T) {
 		waitDone(t, m, j.ID)
 	}
 }
+
+// A "models":["A"] job carries no flip probability on the wire; it
+// lowers onto grid cells at core.DefaultProbA, so the daemon's model A
+// injects faults instead of running at probability zero.
+func TestModelAJobLowersToDefaultProbA(t *testing.T) {
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(`{"benches":["median"],"models":["A"],"freqs":[700,1000],"trials":4}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.Grid(system(), nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range g.Cells() {
+		if cell.Model.Kind != "A" || cell.Model.ProbA != core.DefaultProbA {
+			t.Errorf("cell %+v: want kind A at ProbA %v", cell.Model, core.DefaultProbA)
+		}
+	}
+}

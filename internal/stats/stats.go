@@ -1,135 +1,20 @@
-// Package stats provides small statistical helpers used throughout the
-// fault-injection simulator: empirical CDFs over timing samples, online
-// moment accumulators, deterministic seed fan-out for parallel Monte-Carlo
-// trials, and a clipped normal sampler for supply-voltage noise.
+// Package stats provides the random streams and closed-form
+// distributions the fault-injection simulator samples from: seeded
+// generators and deterministic seed fan-out for parallel Monte-Carlo
+// trials, the per-trial xoshiro256++ stream with its batched Bernoulli
+// draws, the standard normal CDF and quantile, and Wilson score
+// intervals for adaptive trial allocation.
 //
 // stats is a leaf of the dependency graph (stdlib only), used by
-// nearly every layer: timing's CDFs, fi's samplers and hazard math,
-// the mc engine's seed fan-out and Wilson-interval adaptive stopping.
+// nearly every layer: dta's characterization draws, fi's samplers and
+// hazard math, the mc engine's seed fan-out and Wilson-interval
+// adaptive stopping.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
-
-// ECDF is an empirical cumulative distribution function over float64
-// samples. The zero value is unusable; build one with NewECDF.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an empirical CDF from the given samples. The input slice
-// is copied and may be reused by the caller.
-func NewECDF(samples []float64) *ECDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// Len returns the number of samples backing the CDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// P returns the empirical probability P(X <= x).
-func (e *ECDF) P(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	// Number of samples <= x.
-	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(e.sorted))
-}
-
-// Exceed returns the empirical probability P(X > x), the tail used for
-// timing-violation probabilities.
-func (e *ECDF) Exceed(x float64) float64 { return 1 - e.P(x) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) using the nearest-rank
-// method. Quantile(0) is the minimum, Quantile(1) the maximum.
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// Min returns the smallest sample, or NaN when empty.
-func (e *ECDF) Min() float64 { return e.Quantile(0) }
-
-// Max returns the largest sample, or NaN when empty.
-func (e *ECDF) Max() float64 { return e.Quantile(1) }
-
-// Online accumulates mean, variance, min and max of a stream of values
-// using Welford's algorithm. The zero value is ready to use.
-type Online struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() uint64 { return o.n }
-
-// Mean returns the running mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than 2 samples).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
 
 // SplitMix64 advances a 64-bit state and returns the next value of the
 // SplitMix64 sequence. It is used to derive statistically independent
@@ -300,25 +185,6 @@ func (r *TrialRand) BernoulliRows(p []float64, rounds int) uint64 {
 	return hits
 }
 
-// ClippedNormal samples a normal distribution with the given mean and
-// standard deviation, saturating at mean +/- clip*sigma. The paper clips
-// supply-voltage noise at 2 sigma to avoid physically unrealistic spikes
-// from the tails of the distribution; saturation (not rejection) is used,
-// which places a probability atom at the clip boundaries.
-func ClippedNormal(rng *rand.Rand, mean, sigma, clip float64) float64 {
-	if sigma == 0 {
-		return mean
-	}
-	x := rng.NormFloat64() * sigma
-	lim := clip * sigma
-	if x > lim {
-		x = lim
-	} else if x < -lim {
-		x = -lim
-	}
-	return mean + x
-}
-
 // NormalCDF returns Phi(x), the standard normal cumulative distribution
 // function. It is exact to full float64 precision in both tails (erfc
 // avoids the cancellation that 0.5*(1+erf) suffers for x << 0).
@@ -463,61 +329,4 @@ func WilsonFrac(sum float64, n int, z float64) (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// WilsonLower returns only the lower bound of the Wilson interval.
-func WilsonLower(k, n int, z float64) float64 {
-	lo, _ := Wilson(k, n, z)
-	return lo
-}
-
-// WilsonUpper returns only the upper bound of the Wilson interval.
-func WilsonUpper(k, n int, z float64) float64 {
-	_, hi := Wilson(k, n, z)
-	return hi
-}
-
-// Mean returns the arithmetic mean of xs (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// MSE returns the mean squared error between two equal-length series.
-func MSE(got, want []float64) (float64, error) {
-	if len(got) != len(want) {
-		return 0, fmt.Errorf("stats: MSE length mismatch %d vs %d", len(got), len(want))
-	}
-	if len(got) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for i := range got {
-		d := got[i] - want[i]
-		s += d * d
-	}
-	return s / float64(len(got)), nil
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
 }

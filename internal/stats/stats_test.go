@@ -7,92 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.5}, {4, 1}, {5, 1},
-	}
-	for _, c := range cases {
-		if got := e.P(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if got := e.Exceed(3); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Exceed(3) = %v, want 0.25", got)
-	}
-	if e.Min() != 1 || e.Max() != 4 {
-		t.Errorf("min/max = %v/%v, want 1/4", e.Min(), e.Max())
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
-	if e.P(1) != 0 || e.Exceed(1) != 1 {
-		t.Errorf("empty ECDF P/Exceed wrong")
-	}
-	if !math.IsNaN(e.Quantile(0.5)) {
-		t.Errorf("empty ECDF quantile should be NaN")
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40, 50})
-	if q := e.Quantile(0.5); q != 30 {
-		t.Errorf("median = %v, want 30", q)
-	}
-	if q := e.Quantile(0.2); q != 10 {
-		t.Errorf("q(0.2) = %v, want 10", q)
-	}
-	if q := e.Quantile(1); q != 50 {
-		t.Errorf("q(1) = %v, want 50", q)
-	}
-}
-
-// Property: P is monotone non-decreasing and bounded in [0,1].
-func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		samples := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				samples = append(samples, v)
-			}
-		}
-		e := NewECDF(samples)
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
-		}
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		pl, ph := e.P(lo), e.P(hi)
-		return pl <= ph && pl >= 0 && ph <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOnline(t *testing.T) {
-	var o Online
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		o.Add(x)
-	}
-	if o.N() != 8 {
-		t.Fatalf("n = %d", o.N())
-	}
-	if math.Abs(o.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", o.Mean())
-	}
-	// Population variance is 4; sample variance is 32/7.
-	if math.Abs(o.Var()-32.0/7.0) > 1e-12 {
-		t.Errorf("var = %v, want %v", o.Var(), 32.0/7.0)
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Errorf("min/max = %v/%v", o.Min(), o.Max())
-	}
-}
-
 func TestSubSeedDistinct(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 1000; i++ {
@@ -107,65 +21,6 @@ func TestSubSeedDistinct(t *testing.T) {
 	}
 	if SubSeed(42, 7) == SubSeed(43, 7) {
 		t.Errorf("SubSeed ignores master seed")
-	}
-}
-
-func TestClippedNormal(t *testing.T) {
-	rng := NewRand(1)
-	sigma, clip := 10.0, 2.0
-	var atLimit int
-	for i := 0; i < 200000; i++ {
-		x := ClippedNormal(rng, 0, sigma, clip)
-		if math.Abs(x) > clip*sigma+1e-12 {
-			t.Fatalf("sample %v exceeds clip %v", x, clip*sigma)
-		}
-		if math.Abs(math.Abs(x)-clip*sigma) < 1e-12 {
-			atLimit++
-		}
-	}
-	// P(|Z| > 2) is about 4.55%, so the saturation atoms should hold
-	// roughly that much mass.
-	frac := float64(atLimit) / 200000
-	if frac < 0.035 || frac > 0.06 {
-		t.Errorf("clip atom mass = %v, want about 0.0455", frac)
-	}
-}
-
-func TestClippedNormalZeroSigma(t *testing.T) {
-	rng := NewRand(1)
-	for i := 0; i < 10; i++ {
-		if x := ClippedNormal(rng, 0.7, 0, 2); x != 0.7 {
-			t.Fatalf("sigma=0 must return mean, got %v", x)
-		}
-	}
-}
-
-func TestMSE(t *testing.T) {
-	got, err := MSE([]float64{1, 2, 3}, []float64{1, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4.0/3.0) > 1e-12 {
-		t.Errorf("MSE = %v, want 4/3", got)
-	}
-	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Errorf("length mismatch must error")
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Errorf("linspace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	if Linspace(1, 2, 0) != nil {
-		t.Errorf("n=0 should be nil")
-	}
-	if xs := Linspace(3, 9, 1); len(xs) != 1 || xs[0] != 3 {
-		t.Errorf("n=1 should be [lo]")
 	}
 }
 
@@ -196,9 +51,6 @@ func TestWilson(t *testing.T) {
 	// No trials: the uninformative interval.
 	if lo, hi = Wilson(0, 0, WilsonZ95); lo != 0 || hi != 1 {
 		t.Errorf("Wilson(0,0) = [%v, %v], want [0, 1]", lo, hi)
-	}
-	if WilsonLower(8, 10, WilsonZ95) >= WilsonUpper(8, 10, WilsonZ95) {
-		t.Errorf("lower bound not below upper bound")
 	}
 }
 

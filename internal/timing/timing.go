@@ -1,22 +1,17 @@
 // Package timing models the operating-condition dependence of circuit
-// delay: the supply-voltage/delay relationship (alpha-power law, fitted
-// from discrete characterization points like the paper's 0.6-1.0 V
-// library sweep), the cycle-by-cycle supply-voltage noise (clipped
-// Gaussian), and the empirical timing-error CDFs extracted by dynamic
-// timing analysis.
+// delay: the supply-voltage/delay relationship (an alpha-power law
+// calibrated to the paper's 28 nm anchors), the cycle-by-cycle
+// supply-voltage noise (Gaussian, clipped at 2 sigma), and the empirical
+// timing-error CDFs extracted by dynamic timing analysis.
 //
-// timing is a near-leaf of the dependency graph (stdlib plus stats):
-// gates and circuit scale their delays through it, dta records into
-// its CDFs, and fi's models evaluate them per cycle.
+// timing is a leaf of the dependency graph (stdlib only): gates and
+// circuit scale their delays through it, dta records into its CDFs, and
+// fi's models evaluate them per cycle.
 package timing
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sort"
-
-	"repro/internal/stats"
 )
 
 // VRef is the reference supply voltage of the case study (volts); all
@@ -53,86 +48,6 @@ func (m VddDelay) FactorRel(v, dv float64) float64 {
 	return m.Factor(v+dv) / m.Factor(v)
 }
 
-// EquivalentVoltage returns the supply below VRef at which the circuit is
-// slower by the given factor; it translates frequency-over-scaling
-// headroom into a voltage reduction for the paper's Fig. 7 power
-// trade-off (a headroom gain g at VRef is worth running at
-// EquivalentVoltage(g) at the nominal clock).
-func (m VddDelay) EquivalentVoltage(factor float64) float64 {
-	if factor <= 0 {
-		return math.NaN()
-	}
-	return m.Vt + (VRef-m.Vt)*math.Pow(factor, -1/m.Alpha)
-}
-
-// Point is one (voltage, delay) characterization sample.
-type Point struct {
-	V     float64
-	Delay float64
-}
-
-// FitAlphaPower fits an alpha-power law to characterization points by a
-// grid-plus-refinement search over Vt minimizing the log-space residual
-// of the implied linear fit. It reproduces the paper's flow of
-// interpolating a Vdd-delay curve from a 5-voltage library sweep.
-func FitAlphaPower(points []Point) (VddDelay, error) {
-	if len(points) < 3 {
-		return VddDelay{}, fmt.Errorf("timing: need at least 3 points, got %d", len(points))
-	}
-	minV := math.Inf(1)
-	for _, p := range points {
-		if p.V < minV {
-			minV = p.V
-		}
-		if p.Delay <= 0 {
-			return VddDelay{}, fmt.Errorf("timing: non-positive delay %v", p.Delay)
-		}
-	}
-	best := VddDelay{}
-	bestErr := math.Inf(1)
-	eval := func(vt float64) (float64, float64) {
-		// Linear regression of log(delay) on log(V - Vt); the slope is
-		// -alpha.
-		var sx, sy, sxx, sxy float64
-		n := float64(len(points))
-		for _, p := range points {
-			x := math.Log(p.V - vt)
-			y := math.Log(p.Delay)
-			sx += x
-			sy += y
-			sxx += x * x
-			sxy += x * y
-		}
-		slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
-		icept := (sy - slope*sx) / n
-		var resid float64
-		for _, p := range points {
-			pred := icept + slope*math.Log(p.V-vt)
-			d := pred - math.Log(p.Delay)
-			resid += d * d
-		}
-		return -slope, resid
-	}
-	lo, hi := 0.0, minV-1e-3
-	for pass := 0; pass < 4; pass++ {
-		step := (hi - lo) / 40
-		plo, phi := lo, hi
-		for vt := plo; vt <= phi; vt += step {
-			alpha, resid := eval(vt)
-			if resid < bestErr && alpha > 0 {
-				bestErr = resid
-				best = VddDelay{Vt: vt, Alpha: alpha}
-			}
-		}
-		lo = math.Max(0, best.Vt-step)
-		hi = math.Min(minV-1e-3, best.Vt+step)
-	}
-	if math.IsInf(bestErr, 1) {
-		return VddDelay{}, fmt.Errorf("timing: fit failed")
-	}
-	return best, nil
-}
-
 // Noise is the supply-voltage noise model: zero-mean Gaussian with
 // standard deviation Sigma (volts), saturated at Clip sigma as in the
 // paper (2 sigma) to exclude physically unrealistic spikes. A fresh
@@ -144,16 +59,6 @@ type Noise struct {
 
 // NewNoise returns the paper's noise model for a sigma given in volts.
 func NewNoise(sigma float64) Noise { return Noise{Sigma: sigma, Clip: 2} }
-
-// Sample draws one noise value (volts).
-func (n Noise) Sample(rng *rand.Rand) float64 {
-	return stats.ClippedNormal(rng, 0, n.Sigma, n.Clip)
-}
-
-// WorstDroop returns the largest negative excursion (volts, positive
-// magnitude), i.e. Clip*Sigma; the first-FI frequency of model B+ is set
-// by this saturation atom.
-func (n Noise) WorstDroop() float64 { return n.Clip * n.Sigma }
 
 // CDF is the empirical distribution of dynamic arrival times at one
 // endpoint for one instruction, extracted by DTA. Violation probability
@@ -173,9 +78,6 @@ func NewCDF(arrivals []float64, setupPs float64) *CDF {
 	return &CDF{sorted: s, setupPs: setupPs}
 }
 
-// N returns the number of characterization cycles backing the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // MaxPs returns the largest observed arrival (ps).
 func (c *CDF) MaxPs() float64 {
 	if len(c.sorted) == 0 {
@@ -193,13 +95,6 @@ func (c *CDF) ViolationProb(periodPs float64) float64 {
 	x := periodPs - c.setupPs
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(len(c.sorted)-i) / float64(len(c.sorted))
-}
-
-// ViolationProbScaled evaluates the CDF with all circuit delays (arrival
-// and setup) stretched by the given factor, the per-cycle "CDF
-// scaling-factor" of the paper's model C that folds in supply noise.
-func (c *CDF) ViolationProbScaled(periodPs, factor float64) float64 {
-	return c.ViolationProb(periodPs / factor)
 }
 
 // OnsetMHz returns the highest frequency at which the violation
