@@ -196,10 +196,22 @@ func (c *CPU) SetWatchdog(cycles uint64) { c.cfg.Watchdog = cycles }
 // TrapErr returns the cause of a StatusTrapped run, or nil.
 func (c *CPU) TrapErr() error { return c.trapErr }
 
-func (c *CPU) fetch(pc uint32) (isa.Instr, error) {
+// fetchText is the fetch fast path: the predecoded instruction at pc
+// when pc is an aligned address inside the text image. It is small
+// enough to inline into step; any other pc (ok false) goes through
+// fetchMem.
+func (c *CPU) fetchText(pc uint32) (in isa.Instr, ok bool) {
 	if pc >= c.textBase && pc < c.textBase+uint32(4*len(c.text)) && pc%4 == 0 {
-		return c.text[(pc-c.textBase)/4], nil
+		return c.text[(pc-c.textBase)/4], true
 	}
+	return isa.Instr{}, false
+}
+
+// fetchMem is the fetch slow path: read and decode the word at pc from
+// memory (execution that left the text image).
+//
+//go:noinline
+func (c *CPU) fetchMem(pc uint32) (isa.Instr, error) {
 	w, err := c.Mem.FetchWord(pc)
 	if err != nil {
 		return isa.Instr{}, err
@@ -249,6 +261,11 @@ func (c *CPU) Run() Status {
 	return c.status
 }
 
+// step executes one instruction. ALU ops compute their fault-free
+// (result, flag) in one switch and then share a single block that
+// records the trace event, queries the injector on FI-eligible cycles,
+// latches the EX endpoints and writes back; every other op executes in
+// the second switch.
 func (c *CPU) step() {
 	if c.trace != nil && c.Cycles >= c.nextCkpt {
 		c.checkpoint()
@@ -257,10 +274,13 @@ func (c *CPU) step() {
 		c.status = StatusWatchdog
 		return
 	}
-	in, err := c.fetch(c.PC)
-	if err != nil {
-		c.trap(fmt.Errorf("cpu: fetch at 0x%08x: %w", c.PC, err))
-		return
+	in, ok := c.fetchText(c.PC)
+	if !ok {
+		var err error
+		if in, err = c.fetchMem(c.PC); err != nil {
+			c.trap(fmt.Errorf("cpu: fetch at 0x%08x: %w", c.PC, err))
+			return
+		}
 	}
 	if in.Op == isa.OpInvalid {
 		c.trap(fmt.Errorf("cpu: illegal instruction at 0x%08x", c.PC))
@@ -278,201 +298,172 @@ func (c *CPU) step() {
 	}
 	c.lastWasLoad = false
 
-	window := c.InWindow
-	aluCycle := window && isa.IsALU(in.Op)
-	if aluCycle {
-		c.KernelALUCycles++
-	}
-
 	ra := c.Regs[in.RA]
 	rb := c.Regs[in.RB]
 	nextPC := c.PC + 4
 	taken := false
 
-	writeRD := func(v uint32) {
-		if in.RD != 0 {
-			c.Regs[in.RD] = v
+	if isa.IsALU(in.Op) {
+		// Non-compare ops carry the architectural flag through the
+		// flag endpoint unchanged; compares produce it, and the
+		// subtract result travels through the same result endpoints.
+		var result uint32
+		flag := c.Flag
+		switch in.Op {
+		case isa.OpAdd:
+			result = ra + rb
+		case isa.OpAddi:
+			result = ra + uint32(in.Imm)
+		case isa.OpSub:
+			result = ra - rb
+		case isa.OpMul:
+			result = uint32(int32(ra) * int32(rb))
+		case isa.OpMuli:
+			result = uint32(int32(ra) * in.Imm)
+		case isa.OpAnd:
+			result = ra & rb
+		case isa.OpOr:
+			result = ra | rb
+		case isa.OpXor:
+			result = ra ^ rb
+		case isa.OpAndi:
+			result = ra & uint32(uint16(in.Imm))
+		case isa.OpOri:
+			result = ra | uint32(uint16(in.Imm))
+		case isa.OpXori:
+			result = ra ^ uint32(in.Imm)
+		case isa.OpSll:
+			result = ra << (rb & 31)
+		case isa.OpSrl:
+			result = ra >> (rb & 31)
+		case isa.OpSra:
+			result = uint32(int32(ra) >> (rb & 31))
+		case isa.OpSlli:
+			result = ra << uint32(in.Imm&31)
+		case isa.OpSrli:
+			result = ra >> uint32(in.Imm&31)
+		case isa.OpSrai:
+			result = uint32(int32(ra) >> uint32(in.Imm&31))
+		case isa.OpSfeq, isa.OpSfne, isa.OpSfgtu, isa.OpSfgeu, isa.OpSfltu,
+			isa.OpSfleu, isa.OpSfgts, isa.OpSfges, isa.OpSflts, isa.OpSfles:
+			result, flag = ra-rb, compare(in.Op, ra, rb)
+		default: // immediate compares
+			b := uint32(in.Imm)
+			result, flag = ra-b, compare(in.Op, ra, b)
 		}
-	}
-
-	// applyFI runs the injector on an ALU result and updates the EX
-	// endpoint latches.
-	applyFI := func(result uint32, flag bool) (uint32, bool) {
-		outR, outF := result, flag
-		if aluCycle && c.trace != nil {
-			c.trace.Events = append(c.trace.Events, TraceEvent{
-				Op: in.Op, A: ra, B: rb, RD: in.RD,
-				Result: result, Prev: c.prevEXResult,
-				Flag: flag, PrevFlag: c.prevFlag,
-			})
-		}
-		if aluCycle {
+		if c.InWindow {
+			c.KernelALUCycles++
+			if c.trace != nil {
+				c.trace.Events = append(c.trace.Events, TraceEvent{
+					Op: in.Op, A: ra, B: rb, RD: in.RD,
+					Result: result, Prev: c.prevEXResult,
+					Flag: flag, PrevFlag: c.prevFlag,
+				})
+			}
 			var flipped int
-			outR, outF, flipped = c.inj.Inject(in.Op, result, c.prevEXResult, flag, c.prevFlag)
+			result, flag, flipped = c.inj.Inject(in.Op, result, c.prevEXResult, flag, c.prevFlag)
 			if flipped > 0 {
 				c.FIBits += uint64(flipped)
 				c.FIEvents++
 			}
 		}
-		c.prevEXResult = outR
-		c.prevFlag = outF
-		return outR, outF
-	}
-
-	switch in.Op {
-	case isa.OpNop:
-		// Nothing.
-
-	case isa.OpSys:
-		switch in.Imm {
-		case isa.SysExit:
-			c.charge(cost)
-			c.Retired++
-			c.OpCounts[in.Op]++
-			c.status = StatusExited
-			return
-		case isa.SysKernelBegin:
-			c.InWindow = true
-		case isa.SysKernelEnd:
-			c.InWindow = false
+		c.prevEXResult = result
+		c.prevFlag = flag
+		if isa.IsCompare(in.Op) {
+			c.Flag = flag
+		} else {
+			c.writeRD(in.RD, result)
 		}
+	} else {
+		switch in.Op {
+		case isa.OpNop:
+			// Nothing.
 
-	case isa.OpJ:
-		if in.Imm == 0 {
-			// Unconditional jump-to-self: trivially infinite.
-			c.status = StatusWatchdog
-			return
-		}
-		nextPC = uint32(int64(c.PC) + int64(in.Imm)*4)
-		taken = true
-	case isa.OpJal:
-		c.Regs[isa.LinkReg] = c.PC + 4
-		nextPC = uint32(int64(c.PC) + int64(in.Imm)*4)
-		taken = true
-	case isa.OpJr:
-		nextPC = rb
-		taken = true
-	case isa.OpBf, isa.OpBnf:
-		if c.Flag == (in.Op == isa.OpBf) {
+		case isa.OpSys:
+			switch in.Imm {
+			case isa.SysExit:
+				c.charge(cost)
+				c.Retired++
+				c.OpCounts[in.Op]++
+				c.status = StatusExited
+				return
+			case isa.SysKernelBegin:
+				c.InWindow = true
+			case isa.SysKernelEnd:
+				c.InWindow = false
+			}
+
+		case isa.OpJ:
+			if in.Imm == 0 {
+				// Unconditional jump-to-self: trivially infinite.
+				c.status = StatusWatchdog
+				return
+			}
 			nextPC = uint32(int64(c.PC) + int64(in.Imm)*4)
 			taken = true
-		}
+		case isa.OpJal:
+			c.Regs[isa.LinkReg] = c.PC + 4
+			nextPC = uint32(int64(c.PC) + int64(in.Imm)*4)
+			taken = true
+		case isa.OpJr:
+			nextPC = rb
+			taken = true
+		case isa.OpBf, isa.OpBnf:
+			if c.Flag == (in.Op == isa.OpBf) {
+				nextPC = uint32(int64(c.PC) + int64(in.Imm)*4)
+				taken = true
+			}
 
-	case isa.OpMovhi:
-		writeRD(uint32(in.Imm) << 16)
+		case isa.OpMovhi:
+			c.writeRD(in.RD, uint32(in.Imm)<<16)
 
-	case isa.OpAdd:
-		r, _ := applyFI(ra+rb, c.Flag)
-		writeRD(r)
-	case isa.OpAddi:
-		r, _ := applyFI(ra+uint32(in.Imm), c.Flag)
-		writeRD(r)
-	case isa.OpSub:
-		r, _ := applyFI(ra-rb, c.Flag)
-		writeRD(r)
-	case isa.OpMul:
-		r, _ := applyFI(uint32(int32(ra)*int32(rb)), c.Flag)
-		writeRD(r)
-	case isa.OpMuli:
-		r, _ := applyFI(uint32(int32(ra)*in.Imm), c.Flag)
-		writeRD(r)
-	case isa.OpAnd:
-		r, _ := applyFI(ra&rb, c.Flag)
-		writeRD(r)
-	case isa.OpOr:
-		r, _ := applyFI(ra|rb, c.Flag)
-		writeRD(r)
-	case isa.OpXor:
-		r, _ := applyFI(ra^rb, c.Flag)
-		writeRD(r)
-	case isa.OpAndi:
-		r, _ := applyFI(ra&uint32(uint16(in.Imm)), c.Flag)
-		writeRD(r)
-	case isa.OpOri:
-		r, _ := applyFI(ra|uint32(uint16(in.Imm)), c.Flag)
-		writeRD(r)
-	case isa.OpXori:
-		r, _ := applyFI(ra^uint32(in.Imm), c.Flag)
-		writeRD(r)
-	case isa.OpSll:
-		r, _ := applyFI(ra<<(rb&31), c.Flag)
-		writeRD(r)
-	case isa.OpSrl:
-		r, _ := applyFI(ra>>(rb&31), c.Flag)
-		writeRD(r)
-	case isa.OpSra:
-		r, _ := applyFI(uint32(int32(ra)>>(rb&31)), c.Flag)
-		writeRD(r)
-	case isa.OpSlli:
-		r, _ := applyFI(ra<<uint32(in.Imm&31), c.Flag)
-		writeRD(r)
-	case isa.OpSrli:
-		r, _ := applyFI(ra>>uint32(in.Imm&31), c.Flag)
-		writeRD(r)
-	case isa.OpSrai:
-		r, _ := applyFI(uint32(int32(ra)>>uint32(in.Imm&31)), c.Flag)
-		writeRD(r)
+		case isa.OpLwz:
+			v, err := c.Mem.LoadWord(ra + uint32(in.Imm))
+			if err != nil {
+				c.trap(err)
+				return
+			}
+			c.writeRD(in.RD, v)
+			c.lastWasLoad, c.lastLoadRD = true, in.RD
+		case isa.OpLhz:
+			v, err := c.Mem.LoadHalf(ra + uint32(in.Imm))
+			if err != nil {
+				c.trap(err)
+				return
+			}
+			c.writeRD(in.RD, uint32(v))
+			c.lastWasLoad, c.lastLoadRD = true, in.RD
+		case isa.OpLbz:
+			v, err := c.Mem.LoadByte(ra + uint32(in.Imm))
+			if err != nil {
+				c.trap(err)
+				return
+			}
+			c.writeRD(in.RD, uint32(v))
+			c.lastWasLoad, c.lastLoadRD = true, in.RD
+		case isa.OpSw:
+			if err := c.Mem.StoreWord(ra+uint32(in.Imm), rb); err != nil {
+				c.trap(err)
+				return
+			}
+			c.recordStore(ra+uint32(in.Imm), 4, rb)
+		case isa.OpSh:
+			if err := c.Mem.StoreHalf(ra+uint32(in.Imm), uint16(rb)); err != nil {
+				c.trap(err)
+				return
+			}
+			c.recordStore(ra+uint32(in.Imm), 2, rb)
+		case isa.OpSb:
+			if err := c.Mem.StoreByte(ra+uint32(in.Imm), uint8(rb)); err != nil {
+				c.trap(err)
+				return
+			}
+			c.recordStore(ra+uint32(in.Imm), 1, rb)
 
-	case isa.OpSfeq, isa.OpSfne, isa.OpSfgtu, isa.OpSfgeu, isa.OpSfltu,
-		isa.OpSfleu, isa.OpSfgts, isa.OpSfges, isa.OpSflts, isa.OpSfles:
-		f := compare(in.Op, ra, rb)
-		// The subtract result travels through the same endpoints; the
-		// flag endpoint is what architecture observes.
-		_, f = applyFI(ra-rb, f)
-		c.Flag = f
-	case isa.OpSfeqi, isa.OpSfnei, isa.OpSfgtui, isa.OpSfltui,
-		isa.OpSfgtsi, isa.OpSfltsi:
-		b := uint32(in.Imm)
-		f := compare(in.Op, ra, b)
-		_, f = applyFI(ra-b, f)
-		c.Flag = f
-
-	case isa.OpLwz:
-		v, err := c.Mem.LoadWord(ra + uint32(in.Imm))
-		if err != nil {
-			c.trap(err)
+		default:
+			c.trap(fmt.Errorf("cpu: unimplemented op %v at 0x%08x", in.Op, c.PC))
 			return
 		}
-		writeRD(v)
-		c.lastWasLoad, c.lastLoadRD = true, in.RD
-	case isa.OpLhz:
-		v, err := c.Mem.LoadHalf(ra + uint32(in.Imm))
-		if err != nil {
-			c.trap(err)
-			return
-		}
-		writeRD(uint32(v))
-		c.lastWasLoad, c.lastLoadRD = true, in.RD
-	case isa.OpLbz:
-		v, err := c.Mem.LoadByte(ra + uint32(in.Imm))
-		if err != nil {
-			c.trap(err)
-			return
-		}
-		writeRD(uint32(v))
-		c.lastWasLoad, c.lastLoadRD = true, in.RD
-	case isa.OpSw:
-		if err := c.Mem.StoreWord(ra+uint32(in.Imm), rb); err != nil {
-			c.trap(err)
-			return
-		}
-		c.recordStore(ra+uint32(in.Imm), 4, rb)
-	case isa.OpSh:
-		if err := c.Mem.StoreHalf(ra+uint32(in.Imm), uint16(rb)); err != nil {
-			c.trap(err)
-			return
-		}
-		c.recordStore(ra+uint32(in.Imm), 2, rb)
-	case isa.OpSb:
-		if err := c.Mem.StoreByte(ra+uint32(in.Imm), uint8(rb)); err != nil {
-			c.trap(err)
-			return
-		}
-		c.recordStore(ra+uint32(in.Imm), 1, rb)
-
-	default:
-		c.trap(fmt.Errorf("cpu: unimplemented op %v at 0x%08x", in.Op, c.PC))
-		return
 	}
 
 	if taken {
@@ -482,6 +473,13 @@ func (c *CPU) step() {
 	c.Retired++
 	c.OpCounts[in.Op]++
 	c.PC = nextPC
+}
+
+// writeRD writes a result to register rd; r0 stays hardwired to zero.
+func (c *CPU) writeRD(rd uint8, v uint32) {
+	if rd != 0 {
+		c.Regs[rd] = v
+	}
 }
 
 // compare evaluates an l.sf* condition on two operand words.

@@ -9,8 +9,7 @@ import (
 
 // flipAt builds an injector that passes golden values through until its
 // n-th query (0-based), flips bit 0 of that result, and passes through
-// afterwards — the shape of fi's fork injector, redeclared here because
-// cpu and fi deliberately do not import each other.
+// afterwards.
 func flipAt(n int) Injector {
 	i := 0
 	return injFunc(func(_ isa.Op, r, _ uint32, f, _ bool) (uint32, bool, int) {
@@ -64,8 +63,9 @@ func TestForkMatchesRestore(t *testing.T) {
 				walker.KernelALUCycles, walker.willQuery(), k)
 		}
 		tm.CloneFrom(wm)
-		fc := walker.Fork(tm, flipAt(0))
-		fc.SetWatchdog(1_000_000)
+		ev := tr.Events[k]
+		fc := &CPU{}
+		fc.ForkFrom(walker, tm, NullInjector{}, ev.Result^1, ev.Flag, 1)
 		if st := fc.Run(); st != refSt {
 			t.Fatalf("query %d: fork ended %v, restore ended %v", k, st, refSt)
 		}
@@ -129,23 +129,31 @@ func TestRunToQueryIdempotentAtPause(t *testing.T) {
 		t.Fatalf("repeated RunToQuery advanced the walker: cycles %d->%d", cycles, walker.Cycles)
 	}
 
-	// The instruction at the pause is the recorded query: fork with a
-	// recording injector and check the first query's argument tuple.
-	var first *TraceEvent
+	// The instruction at the pause is the recorded query k: a fork that
+	// forces the golden capture there must next query exactly the
+	// recorded query k+1, whose previous-latch values are query k's.
+	var next *TraceEvent
 	rec := injFunc(func(op isa.Op, r, prev uint32, f, pf bool) (uint32, bool, int) {
-		if first == nil {
-			first = &TraceEvent{Op: op, Result: r, Prev: prev, Flag: f, PrevFlag: pf}
+		if next == nil {
+			next = &TraceEvent{Op: op, Result: r, Prev: prev, Flag: f, PrevFlag: pf}
 		}
 		return r, f, 0
 	})
 	tm := mem.New()
 	tm.CloneFrom(wm)
-	fc := walker.Fork(tm, rec)
-	fc.SetWatchdog(1_000_000)
-	fc.Run()
 	ev := tr.Events[k]
-	want := TraceEvent{Op: ev.Op, Result: ev.Result, Prev: ev.Prev, Flag: ev.Flag, PrevFlag: ev.PrevFlag}
-	if first == nil || *first != want {
-		t.Fatalf("first fork query %+v, want %+v", first, want)
+	fc := &CPU{}
+	fc.ForkFrom(walker, tm, rec, ev.Result, ev.Flag, 0)
+	if fc.KernelALUCycles != uint64(k+1) {
+		t.Fatalf("fork issued %d queries, want %d", fc.KernelALUCycles, k+1)
+	}
+	fc.Run()
+	ev1 := tr.Events[k+1]
+	want := TraceEvent{Op: ev1.Op, Result: ev1.Result, Prev: ev1.Prev, Flag: ev1.Flag, PrevFlag: ev1.PrevFlag}
+	if next == nil || *next != want {
+		t.Fatalf("first injector query after the fork %+v, want %+v", next, want)
+	}
+	if want.Prev != ev.Result || want.PrevFlag != ev.Flag {
+		t.Fatalf("recorded query %d does not follow query %d", k+1, k)
 	}
 }

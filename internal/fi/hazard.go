@@ -134,8 +134,9 @@ func (h *Hazard) SampleIndex(rng *rand.Rand) (int, bool) {
 // O(log n): the first-fault query index comes from the hazard table,
 // the corrupted capture at it from the model conditioned on injection.
 // ok is false for a fault-free trial (the trial is the golden run). The
-// returned Fork plugs into NewForkInjector exactly like a ScanTrace
-// fork; qs must be the stream h was built over.
+// returned Fork plugs into cpu's CPU.ForkFrom or NewForkInjector
+// exactly like a ScanTrace fork; qs must be the stream h was built
+// over.
 func FirstFault(m HazardModel, h *Hazard, rng *rand.Rand, qs []TraceQuery) (Fork, bool) {
 	i, ok := h.SampleIndex(rng)
 	if !ok {

@@ -7,9 +7,12 @@
 // can therefore stand in for full simulation: ScanTrace drives a trial's
 // injector over the recorded stream, consuming the RNG exactly as a full
 // run would, until the first query that actually flips an endpoint bit.
-// Below that query the trial is bit-for-bit the golden run; from it, the
-// caller resumes full simulation (cpu.Restore) with a NewForkInjector
-// that bridges the already-consumed prefix.
+// Below that query the trial is bit-for-bit the golden run; from it,
+// full simulation resumes. The production path forks from a golden
+// walker paused at that query (cpu's CPU.ForkFrom forces the recorded
+// corrupted capture, then binds the trial injector); the test oracles
+// instead restore a checkpoint with a NewForkInjector that bridges the
+// already-consumed prefix.
 package fi
 
 import "repro/internal/isa"
@@ -51,12 +54,14 @@ func ScanTrace(inj Injector, qs []TraceQuery) (fork Fork, ok bool) {
 
 // NewForkInjector wraps a trial injector for execution resumed from a
 // checkpoint taken at query index next (queries are counted across the
-// whole run, in the order the core issues them). Queries before the fork
-// pass through unchanged — they are the golden prefix and their
+// whole run, in the order the core issues them). Queries before the
+// fork pass through unchanged — they are the golden prefix and their
 // randomness was already consumed by ScanTrace — the fork query returns
 // the recorded corrupted capture, and every later query delegates to
 // inner, whose RNG stream is positioned exactly where a full execution
-// would have it.
+// would have it. It is the oracles' bridge, kept here because the fi
+// and mc tests share it; production trials fork with CPU.ForkFrom,
+// which spends no wrapper call per query.
 func NewForkInjector(inner Injector, next int, fork Fork) Injector {
 	return &forkInjector{inner: inner, next: next, fork: fork}
 }

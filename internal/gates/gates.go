@@ -38,10 +38,7 @@ const (
 	KindBuf
 	KindAnd2
 	KindOr2
-	KindNand2
-	KindNor2
 	KindXor2
-	KindXnor2
 	KindXor3
 	KindMaj3
 	KindMux2 // fanin: sel, a0, a1; out = sel ? a1 : a0
@@ -65,7 +62,7 @@ func (k Kind) fanins() int {
 // String names the kind.
 func (k Kind) String() string {
 	names := [...]string{"input", "const0", "const1", "not", "buf", "and2",
-		"or2", "nand2", "nor2", "xor2", "xnor2", "xor3", "maj3", "mux2"}
+		"or2", "xor2", "xor3", "maj3", "mux2"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -87,14 +84,8 @@ func Eval(k Kind, a, b, c bool) bool {
 		return a && b
 	case KindOr2:
 		return a || b
-	case KindNand2:
-		return !(a && b)
-	case KindNor2:
-		return !(a || b)
 	case KindXor2:
 		return a != b
-	case KindXnor2:
-		return a == b
 	case KindXor3:
 		return (a != b) != c
 	case KindMaj3:
@@ -186,8 +177,8 @@ func (n *Netlist) WorstOutputArrival(delays []float64) (float64, string) {
 }
 
 // DelayModel assigns nominal delays and voltage sensitivities to new
-// gates. FOUR/NAND-class cells are fast; XOR-class cells slow, mirroring
-// standard-cell libraries.
+// gates. Inverter and AND/OR-class cells are fast, XOR-class cells
+// slow, mirroring standard-cell libraries.
 type DelayModel struct {
 	rng *rand.Rand
 	// Variation is the half-width of the uniform per-gate delay spread
@@ -209,8 +200,8 @@ func NewDelayModel(seed int64) *DelayModel {
 var baseDelay = [numKinds]float64{
 	KindInput: 0, KindConst0: 0, KindConst1: 0,
 	KindNot: 11, KindBuf: 14,
-	KindAnd2: 19, KindOr2: 20, KindNand2: 14, KindNor2: 16,
-	KindXor2: 28, KindXnor2: 28,
+	KindAnd2: 19, KindOr2: 20,
+	KindXor2: 28,
 	KindXor3: 52, KindMaj3: 30,
 	KindMux2: 24,
 }

@@ -50,10 +50,7 @@ func TestEvalKinds(t *testing.T) {
 		{KindAnd2, true, true, false, true},
 		{KindAnd2, true, false, false, false},
 		{KindOr2, false, false, false, false},
-		{KindNand2, true, true, false, false},
-		{KindNor2, false, false, false, true},
 		{KindXor2, true, false, false, true},
-		{KindXnor2, true, true, false, true},
 		{KindXor3, true, true, true, true},
 		{KindXor3, true, true, false, false},
 		{KindMaj3, true, true, false, true},

@@ -155,34 +155,45 @@ const (
 	ClassCtrl                 // jumps, branches, sys
 )
 
-// ClassOf returns the execution class of an op.
-func ClassOf(op Op) Class {
-	switch op {
-	case OpAdd, OpAddi:
-		return ClassAdder
-	case OpSub:
-		return ClassSubber
-	case OpMul, OpMuli:
-		return ClassMul
-	case OpAnd, OpOr, OpXor, OpAndi, OpOri, OpXori:
-		return ClassLogic
-	case OpSll, OpSrl, OpSra, OpSlli, OpSrli, OpSrai:
-		return ClassShift
-	case OpSfeq, OpSfne, OpSfgtu, OpSfgeu, OpSfltu, OpSfleu,
-		OpSfgts, OpSfges, OpSflts, OpSfles,
-		OpSfeqi, OpSfnei, OpSfgtui, OpSfltui, OpSfgtsi, OpSfltsi:
-		return ClassCompare
-	case OpMovhi:
-		return ClassMovhi
-	case OpLwz, OpLhz, OpLbz, OpSw, OpSh, OpSb:
-		return ClassMem
-	case OpJ, OpJal, OpJr, OpBf, OpBnf, OpSys:
-		return ClassCtrl
-	case OpNop:
-		return ClassNone
-	}
-	return ClassNone
+// classOf maps every op byte to its execution class; bytes that name
+// no op (and OpInvalid) are ClassNone.
+var classOf = [256]Class{
+	OpAdd: ClassAdder, OpAddi: ClassAdder,
+	OpSub: ClassSubber,
+	OpMul: ClassMul, OpMuli: ClassMul,
+	OpAnd: ClassLogic, OpOr: ClassLogic, OpXor: ClassLogic,
+	OpAndi: ClassLogic, OpOri: ClassLogic, OpXori: ClassLogic,
+	OpSll: ClassShift, OpSrl: ClassShift, OpSra: ClassShift,
+	OpSlli: ClassShift, OpSrli: ClassShift, OpSrai: ClassShift,
+	OpSfeq: ClassCompare, OpSfne: ClassCompare, OpSfgtu: ClassCompare,
+	OpSfgeu: ClassCompare, OpSfltu: ClassCompare, OpSfleu: ClassCompare,
+	OpSfgts: ClassCompare, OpSfges: ClassCompare, OpSflts: ClassCompare,
+	OpSfles: ClassCompare, OpSfeqi: ClassCompare, OpSfnei: ClassCompare,
+	OpSfgtui: ClassCompare, OpSfltui: ClassCompare, OpSfgtsi: ClassCompare,
+	OpSfltsi: ClassCompare,
+	OpMovhi:  ClassMovhi,
+	OpLwz:    ClassMem, OpLhz: ClassMem, OpLbz: ClassMem,
+	OpSw: ClassMem, OpSh: ClassMem, OpSb: ClassMem,
+	OpJ: ClassCtrl, OpJal: ClassCtrl, OpJr: ClassCtrl,
+	OpBf: ClassCtrl, OpBnf: ClassCtrl, OpSys: ClassCtrl,
+	OpNop: ClassNone,
 }
+
+// isALU is IsALU for every op byte, derived from classOf.
+var isALU = func() (t [256]bool) {
+	for op, c := range classOf {
+		switch c {
+		case ClassAdder, ClassSubber, ClassMul, ClassLogic, ClassShift, ClassCompare:
+			t[op] = true
+		}
+	}
+	return t
+}()
+
+// ClassOf returns the execution class of an op. It is a table lookup
+// (the op byte indexes a 256-entry table, so no bounds check remains)
+// and inlines into the simulator's per-cycle path.
+func ClassOf(op Op) Class { return classOf[op] }
 
 // IsALU reports whether the op is executed by the ALU data path of the
 // execution stage and is therefore eligible for timing-error injection.
@@ -190,13 +201,7 @@ func ClassOf(op Op) Class {
 // stores, ...) are always safe from timing errors below the non-ALU safe
 // frequency threshold, because the constraint strategy of [14] keeps all
 // other paths short.
-func IsALU(op Op) bool {
-	switch ClassOf(op) {
-	case ClassAdder, ClassSubber, ClassMul, ClassLogic, ClassShift, ClassCompare:
-		return true
-	}
-	return false
-}
+func IsALU(op Op) bool { return isALU[op] }
 
 // IsCompare reports whether the op sets the flag register.
 func IsCompare(op Op) bool { return ClassOf(op) == ClassCompare }

@@ -86,6 +86,50 @@ func TestEncodeShiftRange(t *testing.T) {
 	}
 }
 
+// refClassOf is the switch ClassOf was before it became a table.
+func refClassOf(op Op) Class {
+	switch op {
+	case OpAdd, OpAddi:
+		return ClassAdder
+	case OpSub:
+		return ClassSubber
+	case OpMul, OpMuli:
+		return ClassMul
+	case OpAnd, OpOr, OpXor, OpAndi, OpOri, OpXori:
+		return ClassLogic
+	case OpSll, OpSrl, OpSra, OpSlli, OpSrli, OpSrai:
+		return ClassShift
+	case OpSfeq, OpSfne, OpSfgtu, OpSfgeu, OpSfltu, OpSfleu,
+		OpSfgts, OpSfges, OpSflts, OpSfles,
+		OpSfeqi, OpSfnei, OpSfgtui, OpSfltui, OpSfgtsi, OpSfltsi:
+		return ClassCompare
+	case OpMovhi:
+		return ClassMovhi
+	case OpLwz, OpLhz, OpLbz, OpSw, OpSh, OpSb:
+		return ClassMem
+	case OpJ, OpJal, OpJr, OpBf, OpBnf, OpSys:
+		return ClassCtrl
+	}
+	return ClassNone
+}
+
+// TestClassTablesMatchSwitch pins the class and ALU tables against the
+// switch they replaced on every op byte, valid or not.
+func TestClassTablesMatchSwitch(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Op(b)
+		want := refClassOf(op)
+		if got := ClassOf(op); got != want {
+			t.Errorf("ClassOf(%v) = %v, want %v", op, got, want)
+		}
+		alu := want == ClassAdder || want == ClassSubber || want == ClassMul ||
+			want == ClassLogic || want == ClassShift || want == ClassCompare
+		if IsALU(op) != alu {
+			t.Errorf("IsALU(%v) = %v, want %v", op, IsALU(op), alu)
+		}
+	}
+}
+
 func TestClassPartitions(t *testing.T) {
 	// Every op belongs to exactly one coherent class, and the ALU
 	// predicate agrees with the class partition.

@@ -73,6 +73,20 @@ func TestRunContextCancelAborts(t *testing.T) {
 	}
 }
 
+// TestCancelBeforeSealIsNotWhole pins the engine side of a cancel that
+// lands while the resolver is still streaming cells: with the stream
+// unsealed, an aborted pool must report the cancellation even though
+// no streamed point is open. Treating that as a whole grid handed the
+// committer's late cells back as success with zero Points.
+func TestCancelBeforeSealIsNotWhole(t *testing.T) {
+	e := newEngine(Spec{System: system(), Bench: bench.Median(), Trials: 4}.withDefaults(), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if pts, err := e.run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled unsealed engine: %d points, err %v; want context.Canceled", len(pts), err)
+	}
+}
+
 func TestFreqRange(t *testing.T) {
 	got := FreqRange(700, 900, 50)
 	want := []float64{700, 750, 800, 850, 900}

@@ -35,9 +35,9 @@
 // Faulting trials draw the corrupted capture conditioned on injection
 // (fi.HazardModel.SampleAt) and execute grouped by fork point: a walker
 // core restores each checkpoint image once, golden-steps to the
-// successive fork queries (cpu.RunToQuery), and hands every trial a
-// copy-on-write fork (cpu.Fork) over a cloned memory. Results are
-// deterministic per (Seed, trial index).
+// successive fork queries (cpu.RunToQuery), and every trial forks a
+// copy-on-write core from it (CPU.ForkFrom) over a cloned memory.
+// Results are deterministic per (Seed, trial index).
 //
 // Every other cell — per-trial inputs (no shared golden run), a
 // watchdog below the golden cycle count, or Spec.Mode = ModeFull —
@@ -668,11 +668,14 @@ func (e *engine) plan(p *pointState, from, to int) {
 // restored (and its text image decoded) once into the worker's walker
 // core, the walker golden-steps forward to each fork point in order
 // (RunToQuery — fork points are sorted, so it only ever advances), and
-// each trial runs a copy-on-write Fork of the walker over the worker's
-// trial memory. Forking at query q is bit-identical to independently
-// restoring the nearest checkpoint and replaying golden values up to q
-// (pinned by cpu's TestForkMatchesRestore), so every trial's outcome
-// matches an independent per-trial restore exactly.
+// each trial runs a copy-on-write fork of the walker (CPU.ForkFrom)
+// over the worker's trial memory. The fork executes query q itself
+// with the planned corrupted capture and binds the trial injector
+// directly for every later query. Forking at query q is bit-identical
+// to independently restoring the nearest checkpoint and replaying
+// golden values up to q (pinned by cpu's TestForkMatchesRestore), so
+// every trial's outcome matches an independent per-trial restore
+// exactly.
 func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 	s := e.s
 	ctx := p.ctx
@@ -686,6 +689,7 @@ func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 		return
 	}
 	walker.SetWatchdog(ctx.watchdog)
+	var fc cpu.CPU
 	for i, t := range ch.trials {
 		if i > 0 && e.aborted() {
 			// Cancelled mid-chunk: the remaining trials stay incomplete,
@@ -698,10 +702,9 @@ func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 			continue
 		}
 		m.CloneFrom(wm)
-		fc := walker.Fork(m, fi.NewForkInjector(p.hazModel.NewTrial(t.rng), t.fork.Query, t.fork))
-		fc.SetWatchdog(ctx.watchdog)
+		fc.ForkFrom(walker, m, p.hazModel.NewTrial(t.rng), t.fork.Out, t.fork.OutFlag, t.fork.Flipped)
 		st := fc.Run()
-		e.complete(p, t.ti, e.finishTrial(ctx, ctx.qual, fc, m, ctx.golden.Prog, ctx.golden.Want, st))
+		e.complete(p, t.ti, e.finishTrial(ctx, ctx.qual, &fc, m, ctx.golden.Prog, ctx.golden.Want, st))
 	}
 }
 
@@ -780,8 +783,9 @@ func (e *engine) finishTrial(ctx *benchCtx, qual bench.QualityFunc, c *cpu.CPU, 
 // run drives the worker pool to completion and aggregates every point.
 // A cancelled ctx aborts the grid at trial granularity: no new (cell,
 // trial) items are handed out, in-flight trials finish, and the run
-// returns ctx's error — unless every cell had already closed when the
-// cancellation landed, in which case the complete grid is returned.
+// returns ctx's error — unless the stream was sealed and every cell had
+// already closed when the cancellation landed, in which case the
+// complete grid is returned.
 func (e *engine) run(ctx context.Context) ([]Point, error) {
 	var stopWatcher, watcherDone chan struct{}
 	if done := ctx.Done(); done != nil {
@@ -858,14 +862,16 @@ func (e *engine) run(ctx context.Context) ([]Point, error) {
 	// Workers only retire once the stream is sealed (or on abort), so
 	// this snapshot covers every point the committer handed over; grab
 	// it under the lock since an aborted run can race a late addPoint.
-	pts := e.pts
+	pts, sealed := e.pts, e.sealed
 	e.mu.Unlock()
 	if err != nil {
 		// A cancellation that landed only after every cell had closed
 		// aborted nothing; the grid is whole and its points are exactly
 		// what an uncancelled run would have produced (decide runs before
-		// the error check in complete, so no cell was closed early).
-		whole := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		// the error check in complete, so no cell was closed early). An
+		// unsealed stream is never whole: the committer may still be
+		// handing over cells the aborted pool will not run.
+		whole := sealed && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 		for _, p := range pts {
 			if !p.done {
 				whole = false

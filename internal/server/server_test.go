@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dta"
 	"repro/internal/leaktest"
+	"repro/internal/mc"
 )
 
 var (
@@ -458,10 +459,26 @@ func TestWarmResubmitServesFromStore(t *testing.T) {
 	}
 }
 
+// cancelGate wraps a Backend so that its run cannot finish before the
+// job is cancelled: the first progress report, sent after the grid's
+// first completed trial, blocks until the job's context is done. A
+// cancel issued on the running state therefore lands while the grid is
+// provably mid-run, however fast the trials are.
+type cancelGate struct{ inner Backend }
+
+func (g cancelGate) Run(ctx context.Context, spec JobSpec, onProgress func(mc.Progress)) ([]mc.CellResult, error) {
+	var once sync.Once
+	return g.inner.Run(ctx, spec, func(p mc.Progress) {
+		onProgress(p)
+		once.Do(func() { <-ctx.Done() })
+	})
+}
+
 // TestCancelRunning cancels a job mid-run and expects a canceled
 // terminal state with partial progress.
 func TestCancelRunning(t *testing.T) {
-	m := NewManager(Options{System: system()})
+	sys := system()
+	m := NewManager(Options{System: sys, Backend: cancelGate{GridBackend{System: sys}}})
 	defer m.Shutdown(context.Background())
 
 	spec := smallSpec(7)

@@ -344,3 +344,114 @@ func TestBelowIsExactThreshold(t *testing.T) {
 		}
 	}
 }
+
+// countingSource is a xoshiro256++ source that counts the generator
+// outputs (*rand.Rand) draws from it.
+type countingSource struct {
+	x xoshiro256pp
+	n int
+}
+
+func (c *countingSource) Seed(seed int64) { c.x.Seed(seed) }
+func (c *countingSource) Uint64() uint64  { c.n++; return c.x.Uint64() }
+func (c *countingSource) Int63() int64    { return int64(c.Uint64() >> 1) }
+
+// TestNormFloat64RarePaths forces the two slow branches of the
+// ziggurat, which a random stream reaches on under 1 % of draws: a
+// first output in strip 0 beyond kn[0] takes the base-strip tail loop
+// (two uniforms per round, either sign), and one outside kn[i] for
+// i > 0 takes the wedge test (one uniform, then accept or redraw).
+// TrialRand must return the value (*rand.Rand).NormFloat64 returns and
+// leave the stream at the same position.
+func TestNormFloat64RarePaths(t *testing.T) {
+	cases := []struct {
+		name     string
+		j        uint32 // int32(Uint32()) of the first draw
+		minDraws int    // outputs the branch consumes at least
+	}{
+		{"base strip, positive", 0x7f000000, 3},
+		{"base strip, negative", 0x81000000, 3},
+		{"wedge, strip 1", 0x00000001, 2},
+		{"wedge, strip 5", 0x7fffff85, 2},
+		{"wedge, negative strip 127", 0x800000ff, 2},
+	}
+	for _, c := range cases {
+		raw := uint64(c.j)<<32 | 0x5a5a5a5a
+		cur := &TrialRand{src: stateYielding(raw)}
+		cur.Rand = rand.New(&cur.src)
+		ref := &countingSource{x: stateYielding(raw)}
+		want := rand.New(ref).NormFloat64()
+		if got := cur.NormFloat64(); got != want {
+			t.Errorf("%s: TrialRand %v, rand.Rand %v", c.name, got, want)
+		}
+		if ref.n < c.minDraws {
+			t.Errorf("%s: reference consumed %d outputs, so the branch was not reached", c.name, ref.n)
+		}
+		if a, b := cur.src.Uint64(), ref.x.Uint64(); a != b {
+			t.Errorf("%s: streams diverged after the draw: %#x vs %#x", c.name, a, b)
+		}
+	}
+}
+
+// TestNormFloat64MatchesRand pins NormFloat64 on the concrete source
+// against (*rand.Rand).NormFloat64, draw for draw, over enough draws
+// that both slow branches occur many times per seed.
+func TestNormFloat64MatchesRand(t *testing.T) {
+	for _, seed := range trialSeeds {
+		cur, ref := NewTrial(seed), NewTrialRand(seed)
+		for i := 0; i < 1<<18; i++ {
+			if a, b := cur.NormFloat64(), ref.NormFloat64(); a != b {
+				t.Fatalf("seed %d draw %d: TrialRand %v, rand.Rand %v", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// FuzzNormFloat64MatchesRand interleaves NormFloat64, Float64,
+// BernoulliRows and Intn on a TrialRand and on a plain *rand.Rand over
+// the same seed, one op per input byte, and requires equal values
+// throughout: the concrete-source draws consume exactly the stream the
+// interface draws do.
+func FuzzNormFloat64MatchesRand(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 0, 4, 5, 6, 7})
+	f.Add(int64(-3), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x00})
+	f.Add(SubSeed(9, 4), []byte("normal draws between uniform rows"))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		cur, ref := NewTrial(seed), NewTrialRand(seed)
+		for k, op := range ops {
+			arg := int(op >> 2)
+			switch op & 3 {
+			case 0:
+				if a, b := cur.NormFloat64(), ref.NormFloat64(); a != b {
+					t.Fatalf("op %d NormFloat64: %v vs %v", k, a, b)
+				}
+			case 1:
+				if a, b := cur.Float64(), ref.Float64(); a != b {
+					t.Fatalf("op %d Float64: %v vs %v", k, a, b)
+				}
+			case 2:
+				p := make([]float64, 1+arg%16)
+				for i := range p {
+					p[i] = float64((arg+i)%5) / 8 // 0 .. 0.5
+				}
+				rounds := 1 + arg%3
+				var want uint64
+				for r := 0; r < rounds && want == 0; r++ {
+					for i, pi := range p {
+						if ref.Float64() < pi {
+							want |= 1 << uint(i)
+						}
+					}
+				}
+				if got := cur.BernoulliRows(p, rounds); got != want {
+					t.Fatalf("op %d BernoulliRows: %#x vs %#x", k, got, want)
+				}
+			case 3:
+				n := 1 + arg*arg*977
+				if a, b := cur.Intn(n), ref.Intn(n); a != b {
+					t.Fatalf("op %d Intn(%d): %v vs %v", k, n, a, b)
+				}
+			}
+		}
+	})
+}

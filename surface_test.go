@@ -19,6 +19,8 @@ var surfaceExceptions = map[string]string{
 	"repro/internal/fi.ScanTrace":                     "scan oracle; fi and mc tests both pin the production resolvers against it",
 	"repro/internal/fi.FirstFault":                    "per-trial first-fault oracle; fi and mc tests both pin FirstFaultBatch against it",
 	"repro/internal/fi.(*Hazard).SampleIndex":         "inverse-CDF step of the FirstFault oracle",
+	"repro/internal/fi.NewForkInjector":               "checkpoint-restore bridge of the scan and first-fault oracles; fi and mc tests both use it (production forks force the fork query in CPU.ForkFrom)",
+	"repro/internal/fi.(*forkInjector).Inject":        "per-query method of NewForkInjector's injector",
 	"repro/internal/fi.(*Hazard).Survival":            "exact survival probability, kept as the closed form Point-level ground-truth checks compare against",
 	"repro/internal/core.(*System).GoldenLoadedCount": "production warm-start counter; read by the warm-start tests",
 	"repro/internal/core.(*System).HazardLoadedCount": "production warm-start counter; read by the warm-start tests",
