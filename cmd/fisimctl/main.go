@@ -35,10 +35,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/client"
+	"repro/internal/server"
 )
 
 func main() {
@@ -113,37 +113,25 @@ type ctl struct {
 
 func (c *ctl) submit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	benches := fs.String("bench", "median", "benchmark name(s), comma-separated")
-	models := fs.String("model", "C", "fault model(s): none, A, B, B+, C (comma-separated)")
-	vdds := fs.String("vdd", "0.7", "supply voltage(s) in V (comma-separated)")
-	sigmas := fs.String("sigma", "0", "supply noise sigma(s) in V (comma-separated)")
+	var gf server.GridFlags
+	gf.Register(fs)
 	freqs := fs.String("freq", "", "explicit frequency list in MHz (comma-separated; overrides -lo/-hi/-step)")
-	lo := fs.Float64("lo", 650, "sweep start in MHz")
-	hi := fs.Float64("hi", 1100, "sweep end in MHz")
-	step := fs.Float64("step", 25, "sweep step in MHz")
-	trials := fs.Int("trials", 100, "Monte-Carlo trials per point")
-	trialsMin := fs.Int("trials-min", 0, "adaptive mode: first batch size (with -trials-max)")
-	trialsMax := fs.Int("trials-max", 0, "adaptive mode: trial budget per point")
-	seed := fs.Int64("seed", 1, "random seed")
-	mode := fs.String("mode", "auto", "trial path: auto or full (first-fault and scan are aliases with identical results)")
 	priority := fs.String("priority", "interactive", "scheduling lane: interactive or batch")
 	wait := fs.Bool("wait", false, "block until the job is terminal, then print the result")
 	format := fs.String("format", "json", "result format with -wait: json or csv")
 	outFile := fs.String("o", "", "write -wait result to this file (default stdout)")
 	fs.Parse(args)
 
-	spec := map[string]any{
-		"benches": splitList(*benches),
-		"models":  splitList(*models),
-		"vdds":    floats("vdd", *vdds),
-		"sigmas":  floats("sigma", *sigmas),
-		"trials":  *trials, "trials_min": *trialsMin, "trials_max": *trialsMax,
-		"seed": *seed, "mode": *mode, "priority": *priority,
+	spec, err := gf.JobSpec()
+	if err != nil {
+		return err
 	}
+	spec.Priority = *priority
 	if *freqs != "" {
-		spec["freqs"] = floats("freq", *freqs)
-	} else {
-		spec["freq_lo"], spec["freq_hi"], spec["freq_step"] = *lo, *hi, *step
+		if spec.Freqs, err = server.FloatList("freq", *freqs); err != nil {
+			return err
+		}
+		spec.FreqLo, spec.FreqHi, spec.FreqStep = 0, 0, 0
 	}
 	sub, err := c.api.Submit(c.ctx, spec)
 	if err != nil {
@@ -228,26 +216,4 @@ func (c *ctl) cancel(args []string) error {
 	}
 	fmt.Printf("{\"canceled\": %v}\n", canceled)
 	return nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func floats(name, s string) []float64 {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			log.Fatalf("-%s: %v", name, err)
-		}
-		out = append(out, v)
-	}
-	return out
 }

@@ -4,7 +4,10 @@
 // prints the four application metrics per point, including each
 // series' point of first failure and its gain over the STA limit. The
 // whole grid runs through the shared worker pool of the mc engine, with
-// a progress/ETA line on stderr.
+// a progress/ETA line on stderr. The grid flags fill a server.JobSpec,
+// validated by Canonicalize and lowered by JobSpec.Grid exactly as
+// fisimd runs a submitted job, so `fisimctl submit` with the same flags
+// computes the same cells.
 //
 // With -cache-dir, DTA characterizations, golden traces and completed
 // grid cells persist across runs: a warm second run skips straight to
@@ -30,8 +33,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
@@ -40,45 +41,14 @@ import (
 	"repro/internal/mitigate"
 	"repro/internal/progress"
 	"repro/internal/report"
+	"repro/internal/server"
 )
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseFloats(flagName, s string) []float64 {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			log.Fatalf("-%s: %v", flagName, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-	names := flag.String("bench", "median", "benchmark name(s), comma-separated")
-	models := flag.String("model", "C", "fault model(s): A, B, B+, C (comma-separated)")
-	vdds := flag.String("vdd", "0.7", "supply voltage(s) in V (comma-separated)")
-	sigmas := flag.String("sigma", "0", "supply noise sigma(s) in V (comma-separated)")
-	lo := flag.Float64("lo", 650, "sweep start in MHz")
-	hi := flag.Float64("hi", 1100, "sweep end in MHz")
-	step := flag.Float64("step", 25, "sweep step in MHz")
-	trials := flag.Int("trials", 100, "Monte-Carlo trials per point (fixed mode)")
-	trialsMin := flag.Int("trials-min", 0, "adaptive mode: first batch size (with -trials-max)")
-	trialsMax := flag.Int("trials-max", 0, "adaptive mode: trial budget per point (0 = fixed -trials)")
-	seed := flag.Int64("seed", 1, "random seed")
-	mode := flag.String("mode", "auto", "trial path: auto (batched first-fault sampling) or full (per-trial ISS); first-fault and scan are accepted as aliases of auto and full, with identical results")
+	var gf server.GridFlags
+	gf.Register(flag.CommandLine)
 	workers := flag.Int("workers", 0, "worker goroutines (0 = NumCPU)")
 	dtaCycles := flag.Int("dta", 8192, "DTA characterization cycles")
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (characterizations, golden traces, grid cells)")
@@ -89,23 +59,15 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the stderr progress line")
 	flag.Parse()
 
-	if *trialsMin > 0 && *trialsMax <= 0 {
-		log.Fatal("-trials-min has no effect without -trials-max (adaptive mode)")
-	}
-	trialMode, err := mc.ParseMode(*mode)
-	if err != nil {
-		log.Fatalf("-mode: %v", err)
-	}
 	if *resume && *cacheDir == "" {
 		log.Fatal("-resume requires -cache-dir")
 	}
-	var benches []*bench.Benchmark
-	for _, n := range splitList(*names) {
-		b, err := bench.ByName(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		benches = append(benches, b)
+	spec, err := gf.JobSpec()
+	if err == nil {
+		spec, err = spec.Canonicalize()
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.DTA.Cycles = *dtaCycles
@@ -113,7 +75,6 @@ func main() {
 
 	var store *artifact.Store
 	if *cacheDir != "" {
-		var err error
 		if store, err = artifact.Open(*cacheDir); err != nil {
 			log.Fatal(err)
 		}
@@ -124,30 +85,13 @@ func main() {
 	if !*quiet {
 		rep = progress.New(os.Stderr, "sweep")
 	}
-	freqs := mc.FreqRange(*lo, *hi, *step)
-	grid := mc.Grid{
-		Spec: mc.Spec{
-			System:    sys,
-			Trials:    *trials,
-			TrialsMin: *trialsMin,
-			TrialsMax: *trialsMax,
-			Seed:      *seed,
-			Mode:      trialMode,
-			Workers:   *workers,
-			Progress: func(p mc.Progress) {
-				rep.Update(p.DoneTrials, p.TotalTrials)
-			},
-		},
-		Axes: mc.Axes{
-			Benches: benches,
-			Kinds:   splitList(*models),
-			Vdds:    parseFloats("vdd", *vdds),
-			Sigmas:  parseFloats("sigma", *sigmas),
-			Freqs:   freqs,
-		},
-		Store:  store,
-		Resume: *resume,
+	grid, err := spec.Grid(sys, store, *workers, func(p mc.Progress) {
+		rep.Update(p.DoneTrials, p.TotalTrials)
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	grid.Resume = *resume
 	cells, err := grid.Run()
 	rep.Finish()
 	if store != nil {
@@ -159,10 +103,10 @@ func main() {
 		doc := &report.Document{
 			Meta: report.Meta{
 				Tool:  "sweep",
-				Seed:  *seed,
+				Seed:  spec.Seed,
 				Cells: len(cells),
 				Axes: fmt.Sprintf("bench=%s model=%s vdd=%s sigma=%s freq=%g..%g/%g",
-					*names, *models, *vdds, *sigmas, *lo, *hi, *step),
+					gf.Bench, gf.Model, gf.Vdd, gf.Sigma, gf.Lo, gf.Hi, gf.Step),
 				Cache: *cacheDir,
 			},
 			Series: series,
@@ -176,7 +120,7 @@ func main() {
 	if *paretoFile != "" {
 		rs := mitigate.Evaluate(sys, grid.Spec.InputSeed, cells, mitigate.Options{})
 		pdoc := report.Pareto(report.Meta{
-			Tool: "sweep", Seed: *seed, Cells: len(cells), Cache: *cacheDir,
+			Tool: "sweep", Seed: spec.Seed, Cells: len(cells), Cache: *cacheDir,
 		}, rs)
 		pfmt := *format
 		if pfmt == "" {

@@ -1,5 +1,7 @@
 // Command timingsim runs one benchmark under a fault-injection model at
-// one operating point and reports the paper's application metrics.
+// one operating point and reports the paper's application metrics. It
+// runs a one-cell server.JobSpec through Canonicalize and JobSpec.Grid,
+// the same lowering as sweep and fisimd.
 //
 //	timingsim -bench median -model C -freq 800 -vdd 0.7 -sigma 0.010 -trials 200
 package main
@@ -11,11 +13,10 @@ import (
 	"os"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/fi"
 	"repro/internal/mc"
 	"repro/internal/progress"
+	"repro/internal/server"
 )
 
 func main() {
@@ -38,10 +39,18 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the stderr progress line")
 	flag.Parse()
 
-	if *trialsMin > 0 && *trialsMax <= 0 {
-		log.Fatal("-trials-min has no effect without -trials-max (adaptive mode)")
+	spec := server.JobSpec{
+		Benches: []string{*name}, Models: []string{*model},
+		Vdds: []float64{*vdd}, Sigmas: []float64{*sigma}, Freqs: []float64{*freq},
+		Trials: *trials, TrialsMin: *trialsMin, TrialsMax: *trialsMax, Seed: *seed,
 	}
-	b, err := bench.ByName(*name)
+	if *stale {
+		spec.Semantics = "stale-capture"
+	}
+	if *joint {
+		spec.Sampling = "joint"
+	}
+	spec, err := spec.Canonicalize()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,38 +65,23 @@ func main() {
 		sys.AttachStore(st)
 	}
 
-	sem := fi.FlipBit
-	if *stale {
-		sem = fi.StaleCapture
-	}
-	sampling := fi.Independent
-	if *joint {
-		sampling = fi.Joint
-	}
 	var rep *progress.Reporter
 	if !*quiet {
 		rep = progress.New(os.Stderr, "timingsim")
 	}
-	spec := mc.Spec{
-		System: sys,
-		Bench:  b,
-		Model: core.ModelSpec{
-			Kind: *model, Vdd: *vdd, Sigma: *sigma, ProbA: *probA,
-			Sem: sem, Sampling: sampling,
-		},
-		Trials:    *trials,
-		TrialsMin: *trialsMin,
-		TrialsMax: *trialsMax,
-		Seed:      *seed,
-		Progress: func(p mc.Progress) {
-			rep.Update(p.DoneTrials, p.TotalTrials)
-		},
+	grid, err := spec.Grid(sys, nil, 0, func(p mc.Progress) {
+		rep.Update(p.DoneTrials, p.TotalTrials)
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	pt, err := mc.Run(spec, *freq)
+	grid.Spec.Model.ProbA = *probA
+	cells, err := grid.Run()
 	rep.Finish()
 	if err != nil {
 		log.Fatal(err)
 	}
+	b, pt := grid.Axes.Benches[0], cells[0].Point
 	fmt.Printf("benchmark      %s (%s)\n", b.Name, b.MetricName)
 	fmt.Printf("model          %s @ %.1f MHz, Vdd %.3f V, sigma %.0f mV\n",
 		*model, *freq, *vdd, *sigma*1000)

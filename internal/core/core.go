@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -243,14 +244,20 @@ func (s *System) Model(spec ModelSpec) (fi.Model, error) {
 // NewModel instantiates the spec against this system without consulting
 // the model cache. It is the original uncached construction path, kept
 // for benchmarks and determinism tests that compare against per-point
-// rebuilding. Operating points beyond the non-ALU safe limit are
-// rejected for the timing-based models.
+// rebuilding. The timing-based models reject a non-positive or
+// non-finite frequency, a non-finite supply, a negative or non-finite
+// sigma, a supply at or below threshold, and operating points beyond
+// the non-ALU safe limit.
 func (s *System) NewModel(spec ModelSpec) (fi.Model, error) {
 	switch spec.Kind {
 	case "", "none":
 		return fi.NullModel{}, nil
 	case "A":
 		return &fi.ModelA{Prob: spec.ProbA, Sem: spec.Sem}, nil
+	}
+	if !(spec.FreqMHz > 0) || math.IsInf(spec.FreqMHz, 0) || math.IsNaN(spec.Vdd) || math.IsInf(spec.Vdd, 0) ||
+		!(spec.Sigma >= 0) || math.IsInf(spec.Sigma, 0) {
+		return nil, fmt.Errorf("core: invalid operating point %v MHz, %v V, sigma %v V", spec.FreqMHz, spec.Vdd, spec.Sigma)
 	}
 	if spec.Vdd <= s.Cfg.Vdd.Vt {
 		return nil, fmt.Errorf("core: supply %v V at or below threshold", spec.Vdd)

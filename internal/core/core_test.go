@@ -74,6 +74,23 @@ func TestModelFactory(t *testing.T) {
 	if _, err := s.Model(ModelSpec{Kind: "C", Vdd: 0.2, FreqMHz: 800}); err == nil {
 		t.Errorf("sub-threshold supply accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []ModelSpec{
+		{Kind: "C", Vdd: 0.7, FreqMHz: 0},
+		{Kind: "B", Vdd: 0.7, FreqMHz: -100},
+		{Kind: "C", Vdd: 0.7, FreqMHz: nan},
+		{Kind: "B+", Vdd: 0.7, FreqMHz: inf},
+		{Kind: "C", Vdd: nan, FreqMHz: 800},
+		{Kind: "B", Vdd: inf, FreqMHz: 800},
+		{Kind: "B+", Vdd: 0.7, FreqMHz: 800, Sigma: -0.01},
+		{Kind: "C", Vdd: 0.7, FreqMHz: 800, Sigma: -0.01},
+		{Kind: "C", Vdd: 0.7, FreqMHz: 800, Sigma: nan},
+		{Kind: "B+", Vdd: 0.7, FreqMHz: 800, Sigma: inf},
+	} {
+		if _, err := s.NewModel(bad); err == nil {
+			t.Errorf("invalid operating point accepted: %+v", bad)
+		}
+	}
 }
 
 // TestModelCache checks that Model reuses instances per spec while

@@ -150,10 +150,20 @@ func TestCanonicalizeRejects(t *testing.T) {
 		{Benches: []string{"median"}, Freqs: hugeFreqs()},                                       // explicit list past MaxFreqs
 		{Benches: []string{"median"}, Freqs: []float64{700},
 			Vdds: manyVals(512), Sigmas: manyVals(512), Models: []string{"none", "A", "B", "B+", "C"}}, // grid past MaxCells
-		{Benches: []string{"median"}, Freqs: []float64{700}, Trials: MaxTrials + 1},      // trials past MaxTrials
-		{Benches: []string{"median"}, Freqs: []float64{700}, TrialsMax: MaxTrials + 1},   // adaptive budget past MaxTrials
-		{Benches: []string{"median"}, Freqs: []float64{700}, WatchdogFactor: 1e300},      // watchdog overflow
-		{Benches: []string{"median"}, Freqs: []float64{700}, WatchdogFactor: math.NaN()}, // watchdog NaN
+		{Benches: []string{"median"}, Freqs: []float64{700}, Trials: MaxTrials + 1},          // trials past MaxTrials
+		{Benches: []string{"median"}, Freqs: []float64{700}, TrialsMax: MaxTrials + 1},       // adaptive budget past MaxTrials
+		{Benches: []string{"median"}, Freqs: []float64{700}, WatchdogFactor: 1e300},          // watchdog overflow
+		{Benches: []string{"median"}, Freqs: []float64{700}, WatchdogFactor: math.NaN()},     // watchdog NaN
+		{Benches: []string{"median"}, Freqs: []float64{700}, Vdds: []float64{0}},             // zero supply
+		{Benches: []string{"median"}, Freqs: []float64{700}, Vdds: []float64{0.7, -0.7}},     // negative supply
+		{Benches: []string{"median"}, Freqs: []float64{700}, Vdds: []float64{math.NaN()}},    // NaN supply
+		{Benches: []string{"median"}, Freqs: []float64{700}, Vdds: []float64{math.Inf(1)}},   // infinite supply
+		{Benches: []string{"median"}, Freqs: []float64{700}, Sigmas: []float64{-0.01}},       // negative sigma
+		{Benches: []string{"median"}, Freqs: []float64{700}, Sigmas: []float64{math.NaN()}},  // NaN sigma
+		{Benches: []string{"median"}, Freqs: []float64{700}, Sigmas: []float64{math.Inf(1)}}, // infinite sigma
+		{Benches: []string{"median"}, Freqs: []float64{math.NaN()}},                          // NaN freq
+		{Benches: []string{"median"}, FreqLo: -100, FreqHi: -100, FreqStep: 25},              // negative range
+		{Benches: []string{"median"}, FreqLo: 650, FreqHi: 1100},                             // zero step
 	}
 	for i, s := range bad {
 		if _, err := s.Canonicalize(); err == nil {
@@ -179,8 +189,10 @@ func FuzzCanonicalize(f *testing.F) {
 		f.Add(blob)
 	}
 	// Hostile: alias spellings, a range far past MaxFreqs, an
-	// overflowing watchdog factor and an unknown priority.
+	// overflowing watchdog factor and an unknown priority; a negative
+	// sigma.
 	f.Add([]byte(`{"benches":["median","median"],"models":[],"mode":"scan","freq_lo":1,"freq_hi":1e300,"freq_step":1e-300,"watchdog_factor":1e300,"trials":-5,"trials_max":9,"priority":"urgent"}`))
+	f.Add([]byte(`{"benches":["median"],"sigmas":[-0.01],"freqs":[700]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var s JobSpec
 		if json.Unmarshal(body, &s) != nil {

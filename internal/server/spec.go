@@ -134,6 +134,16 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	if len(c.Sigmas) == 0 {
 		c.Sigmas = []float64{0}
 	}
+	for i, v := range c.Vdds {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return c, fmt.Errorf("vdds[%d]: invalid supply voltage %v", i, v)
+		}
+	}
+	for i, sg := range c.Sigmas {
+		if !(sg >= 0) || math.IsInf(sg, 0) {
+			return c, fmt.Errorf("sigmas[%d]: invalid noise sigma %v", i, sg)
+		}
+	}
 	switch {
 	case len(c.Freqs) > 0:
 		if c.FreqLo != 0 || c.FreqHi != 0 || c.FreqStep != 0 {
@@ -234,12 +244,6 @@ func (s JobSpec) Fingerprint(sysFingerprint string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// mode returns the parsed trial mode of a canonical spec.
-func (s JobSpec) mode() mc.Mode {
-	m, _ := mc.ParseMode(s.Mode)
-	return m
-}
-
 // Grid lowers a canonical spec onto the mc grid engine. The benchmark
 // names must already be canonical (Canonicalize validates them); the
 // store (may be nil) enables cell checkpointing and warm resume, which
@@ -266,6 +270,7 @@ func (s JobSpec) Grid(sys *core.System, store *artifact.Store, workers int, onPr
 	if s.Sampling == "joint" {
 		samp = fi.Joint
 	}
+	mode, _ := mc.ParseMode(s.Mode) // canonical, so it parses
 	return mc.Grid{
 		Spec: mc.Spec{
 			System:         sys,
@@ -274,7 +279,7 @@ func (s JobSpec) Grid(sys *core.System, store *artifact.Store, workers int, onPr
 			TrialsMin:      s.TrialsMin,
 			TrialsMax:      s.TrialsMax,
 			Seed:           s.Seed,
-			Mode:           s.mode(),
+			Mode:           mode,
 			InputSeed:      s.InputSeed,
 			WatchdogFactor: s.WatchdogFactor,
 			Workers:        workers,
