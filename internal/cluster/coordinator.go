@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -442,6 +443,14 @@ func (c *Coordinator) runLease(ctx context.Context, j *job, wi int, l *lease) er
 				return err
 			}
 		case "done":
+			// A worker reports every cell it holds before done; cells
+			// it skips would be requeued and leased again, forever.
+			j.mu.Lock()
+			missing := len(l.pending())
+			j.mu.Unlock()
+			if missing > 0 {
+				return protocolError{fmt.Errorf("cluster: lease %s: done with %d cells unreported", l.id, missing)}
+			}
 			return nil
 		case "error":
 			return execError{fmt.Errorf("worker %s, lease %s: %s", c.workers[wi].base, l.id, ev.Error)}
@@ -454,8 +463,10 @@ func (c *Coordinator) runLease(ctx context.Context, j *job, wi int, l *lease) er
 // acceptCell merges one completed cell: first completion wins and is
 // checkpointed; later ones (steal races, replays) are discarded as
 // duplicates after asserting they carry the same content-addressed key.
+// A cell the lease does not hold is outside the protocol, whatever its
+// key.
 func (c *Coordinator) acceptCell(j *job, l *lease, ev LeaseEvent) error {
-	if ev.Index < 0 || ev.Index >= len(j.plan) || ev.Point == nil {
+	if !slices.Contains(l.cells, ev.Index) || ev.Point == nil {
 		return protocolError{fmt.Errorf("cluster: lease %s: malformed cell event (index %d)", l.id, ev.Index)}
 	}
 	pc := j.plan[ev.Index]

@@ -3,6 +3,7 @@ package dta_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -109,5 +110,29 @@ func TestShardedRunMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCharacterizeSweepKeys times one full-length (8192-cycle)
+// sharded characterization of each of the six DTA keys a cold sweep of
+// the sweep-session benchmark workload characterizes, at 0.7 V:
+//
+//	go test -run '^$' -bench CharacterizeSweepKeys -benchtime 3x ./internal/dta/
+func BenchmarkCharacterizeSweepKeys(b *testing.B) {
+	alu := circuit.New(circuit.DefaultConfig())
+	c := dta.NewCharacterizer(alu, timing.DefaultVddDelay(), dta.DefaultConfig())
+	for _, key := range []dta.Key{
+		{Unit: circuit.UnitAdd, Gen: "imm16"},
+		{Unit: circuit.UnitAdd, Gen: "u32"},
+		{Unit: circuit.UnitCompare, Gen: "u16"},
+		{Unit: circuit.UnitCompare, Gen: "imm16"},
+		{Unit: circuit.UnitSll, Gen: "amt5"},
+		{Unit: circuit.UnitMul, Gen: "u8"},
+	} {
+		b.Run(fmt.Sprintf("%v-%s", key.Unit, key.Gen), func(b *testing.B) {
+			for b.Loop() {
+				c.RunSharded(key, 0.7, runtime.GOMAXPROCS(0))
+			}
+		})
 	}
 }

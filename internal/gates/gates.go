@@ -21,6 +21,7 @@ package gates
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -296,36 +297,49 @@ func (b *Builder) Output(name string, node int32) {
 // Build finalizes and returns the netlist.
 func (b *Builder) Build() *Netlist { return b.nl }
 
-// Trans is one output transition of the timed simulation.
-type Trans struct {
-	T float64
-	V bool
-}
-
 // gate is the simulator's packed per-node record: everything the timed
 // propagation reads about one node, in one cache-friendly struct.
 type gate struct {
-	kind Kind
-	nf   uint8    // fanin count
-	lut  uint8    // truth table: bit m is Eval(kind) on fanin bits m
-	in   [3]int32 // fanins
-	d    float64  // delay (ps)
+	kind   Kind
+	lut    uint8    // truth table: bit m is Eval(kind) on fanin bits m
+	in     [3]int32 // fanins; unused slots name the quiet sentinel node
+	fan0   fanWord  // the first word of the fanouts (zero if none) ...
+	fo, fe int32    // ... and the rest, Sim.fan[fo:fe]
+	d      float64  // delay (ps)
 }
+
+// fanWord is the part of one node's fanouts that falls in one word of
+// the dirty set: gates 64*w+i for each bit i of m.
+type fanWord struct {
+	w int32
+	m uint64
+}
+
+// span delimits one node's waveform in the arena: tr[lo:hi].
+type span struct{ lo, hi int32 }
 
 // Sim is a reusable timed simulator for one netlist. It is not safe for
 // concurrent use; create one per goroutine. Sims over the same netlist
 // and delay vector are independent and may run in parallel.
 //
-// One Cycle's transitions live in a single arena in node order: node
-// g's waveform is tr[off[g]:off[g+1]], so fanin waveforms are read from
-// memory written moments earlier and nothing is allocated per cycle.
+// A Cycle does work only where transitions happen: an input that
+// toggles marks its fanouts dirty, the dirty set is scanned in node
+// (topological) order, and a gate whose output toggles marks its own
+// fanouts, which come later in the scan. A gate that is never visited
+// had no toggling fanin, so it keeps its value and has an empty
+// waveform.
+//
+// A waveform is stored as transition times only, all in one arena. It
+// alternates, starting from the node's pre-cycle value, so each
+// transition flips the node and the values need not be stored.
 type Sim struct {
-	g   []gate
-	nIn int
-	val []uint8 // stable values (0/1) after the last Cycle/Settle
-	old []uint8 // values before the last Cycle
-	tr  []Trans
-	off []int32 // len NumNodes+1
+	g      []gate
+	sp     []span    // waveform of each node in the last Cycle, + sentinel
+	val    []uint8   // values after the last Cycle/Settle, + sentinel
+	inputs []int32   // input nodes in Netlist.Inputs order
+	fan    []fanWord // fanout words past each gate's fan0
+	tr     []float64 // the arena
+	dirty  []uint64  // a bit per gate with a toggling fanin, this Cycle
 	// Transitions counts output transitions processed by the last
 	// Cycle call, a measure of switching activity.
 	Transitions int
@@ -339,55 +353,70 @@ func NewSim(nl *Netlist, delays []float64) *Sim {
 	}
 	n := nl.NumNodes()
 	s := &Sim{
-		g:   make([]gate, n),
-		nIn: len(nl.Inputs),
-		val: make([]uint8, n),
-		old: make([]uint8, n),
-		off: make([]int32, n+1),
+		g:      make([]gate, n),
+		sp:     make([]span, n+1),
+		val:    make([]uint8, n+1),
+		inputs: nl.Inputs,
+		dirty:  make([]uint64, (n+63)/64),
 	}
 	for i, k := range nl.Kind {
-		gt := gate{kind: k, nf: uint8(k.fanins()), in: nl.Fanin[i], d: delays[i]}
+		gt := gate{kind: k, in: [3]int32{int32(n), int32(n), int32(n)}, d: delays[i]}
 		for m := 0; m < 8; m++ {
 			if Eval(k, m&1 != 0, m&2 != 0, m&4 != 0) {
 				gt.lut |= 1 << m
 			}
 		}
+		copy(gt.in[:], nl.Fanin[i][:k.fanins()])
 		s.g[i] = gt
 	}
-	// Establish a consistent initial state (constants settled).
-	s.Settle(make([]bool, s.nIn))
-	return s
-}
-
-// faninBits packs the values of g's fanins in vals into a truth-table
-// index.
-func (g *gate) faninBits(vals []uint8) uint8 {
-	var m uint8
-	for i := 0; i < int(g.nf); i++ {
-		m |= vals[g.in[i]] << i
+	// Each node's fanouts as dirty-set words (a fanin listed twice is
+	// one fanout): gates are visited in increasing order, so a fanout
+	// shares the last word of its fanin's list or starts the next one.
+	fan := make([][]fanWord, n)
+	for i := range s.g {
+		g := &s.g[i]
+		for j := 0; j < nl.Kind[i].fanins(); j++ {
+			f := g.in[j]
+			w, bit := int32(i>>6), uint64(1)<<(i&63)
+			if k := len(fan[f]) - 1; k >= 0 && fan[f][k].w == w {
+				fan[f][k].m |= bit
+			} else {
+				fan[f] = append(fan[f], fanWord{w, bit})
+			}
+		}
 	}
-	return m
+	for i, words := range fan {
+		g := &s.g[i]
+		if len(words) > 0 {
+			g.fan0, words = words[0], words[1:]
+		}
+		g.fo = int32(len(s.fan))
+		s.fan = append(s.fan, words...)
+		g.fe = int32(len(s.fan))
+	}
+	// Establish a consistent initial state (constants settled).
+	s.Settle(make([]bool, len(s.inputs)))
+	return s
 }
 
 // Settle applies an input vector (in Netlist.Inputs order) and propagates
 // it functionally with all arrivals reset to zero. Use it to establish
 // the pre-cycle state.
 func (s *Sim) Settle(inputs []bool) {
-	if len(inputs) != s.nIn {
+	if len(inputs) != len(s.inputs) {
 		panic("gates: input vector length mismatch")
 	}
-	in := 0
-	for i := range s.g {
-		g := &s.g[i]
-		if g.kind == KindInput {
-			s.val[i] = b2u(inputs[in])
-			in++
-			continue
-		}
-		s.val[i] = g.lut >> g.faninBits(s.val) & 1
-	}
+	clear(s.sp)
 	s.tr = s.tr[:0]
-	clear(s.off)
+	val := s.val
+	for i, g := range s.inputs {
+		val[g] = b2u(inputs[i])
+	}
+	for i := range s.g {
+		if g := &s.g[i]; g.kind != KindInput {
+			val[i] = g.lut >> (val[g.in[0]] | val[g.in[1]]<<1 | val[g.in[2]]<<2) & 1
+		}
+	}
 }
 
 // Cycle applies a new input vector at t=0 and performs the timed
@@ -399,65 +428,130 @@ func (s *Sim) Settle(inputs []bool) {
 // value), so a cycle's arrivals depend on the previous and the new input
 // vector alone.
 func (s *Sim) Cycle(inputs []bool) {
-	if len(inputs) != s.nIn {
+	if len(inputs) != len(s.inputs) {
 		panic("gates: input vector length mismatch")
 	}
-	s.old, s.val = s.val, s.old
+	clear(s.sp)
 	s.tr = s.tr[:0]
-	in := 0
-	for i := range s.g {
-		g := &s.g[i]
-		start := int32(len(s.tr))
-		s.off[i] = start
-		switch g.kind {
-		case KindInput:
-			nv := b2u(inputs[in])
-			in++
-			if nv != s.old[i] {
-				s.tr = append(s.tr, Trans{0, nv == 1})
-			}
-			s.val[i] = nv
-		default: // constants have no fanins and stay quiet
-			s.propagate(g, start)
-			if n := int32(len(s.tr)); n > start {
-				s.val[i] = b2u(s.tr[n-1].V)
-			} else {
-				s.val[i] = s.old[i]
-			}
+	for i, g := range s.inputs {
+		if nv := b2u(inputs[i]); nv != s.val[g] {
+			s.tr = append(s.tr, 0)
+			s.toggled(g, &s.g[g], int32(len(s.tr)-1), nv)
 		}
 	}
-	s.off[len(s.g)] = int32(len(s.tr))
+	dirty := s.dirty
+	for w := range dirty {
+		for dirty[w] != 0 {
+			b := bits.TrailingZeros64(dirty[w])
+			dirty[w] &^= 1 << b
+			s.propagate(int32(w<<6 | b))
+		}
+	}
 	s.Transitions = len(s.tr)
 }
 
-// propagate appends to the arena the output waveform of gate g, whose
-// waveform starts at arena index start, computed from its fanin
-// waveforms using transport delay with inertial pulse rejection. A gate
-// whose fanins are all quiet has an empty waveform.
-func (s *Sim) propagate(g *gate, start int32) {
-	// pos/end delimit each fanin's pending transitions and head holds
-	// the time of the next one, +Inf once none is left (and for
-	// unused fanin slots).
-	var pos, end [3]int32
-	inf := math.Inf(1)
-	head := [3]float64{inf, inf, inf}
-	quiet := true
-	for i := 0; i < int(g.nf); i++ {
-		f := g.in[i]
-		pos[i], end[i] = s.off[f], s.off[f+1]
-		if pos[i] < end[i] {
-			head[i] = s.tr[pos[i]].T
-			quiet = false
-		}
+// toggled records that node (whose gate record is g) has the waveform
+// tr[start:], ending at value val, and marks its fanouts dirty.
+func (s *Sim) toggled(node int32, g *gate, start int32, val uint8) {
+	s.sp[node] = span{start, int32(len(s.tr))}
+	s.val[node] = val
+	dirty := s.dirty
+	dirty[g.fan0.w] |= g.fan0.m
+	for _, f := range s.fan[g.fo:g.fe] {
+		dirty[f.w] |= f.m
 	}
-	if quiet {
-		return
-	}
-	// Input values start at the pre-cycle stable values.
-	m := g.faninBits(s.old)
-	tail := g.lut >> m & 1 // the output's current value
+}
+
+// propagate appends to the arena the output waveform of gate node,
+// computed from its fanin waveforms using transport delay with inertial
+// pulse rejection. At least one fanin has toggled. Every shape performs
+// the floating-point operations of merge, in merge's order.
+func (s *Sim) propagate(node int32) {
+	g := &s.g[node]
+	val := s.val
+	a, b, c := s.sp[g.in[0]], s.sp[g.in[1]], s.sp[g.in[2]]
+	na, nb, nc := a.hi-a.lo, b.hi-b.lo, c.hi-c.lo
+	// odd has a bit per fanin that made an odd number of transitions:
+	// those flipped, so the pre-cycle fanin bits are the current ones
+	// with odd flipped back.
+	odd := uint8(na&1 | nb&1<<1 | nc&1<<2)
+	now := val[g.in[0]] | val[g.in[1]]<<1 | val[g.in[2]]<<2
+	m := now ^ odd
+	tail := g.lut >> (m & 7) & 1 // the output's current value
 	d := g.d
 	tr := s.tr
+	start := int32(len(tr))
+	ev := na + nb + nc
+	if ev == 1 {
+		// One event on one fanin: the output toggles once, at t+d,
+		// exactly when the function is sensitive to that fanin. The
+		// quiet fanins' spans are empty at 0, so lo sums to the
+		// event's index.
+		if v := g.lut >> (now & 7) & 1; v != tail {
+			s.tr = append(tr, tr[a.lo+b.lo+c.lo]+d)
+			s.toggled(node, g, start, v)
+		}
+		return
+	}
+	// tog has a bit per toggling fanin slot.
+	tog := b2u(na != 0) | b2u(nb != 0)<<1 | b2u(nc != 0)<<2
+	switch {
+	case ev == 2 && tog&(tog-1) != 0:
+		// One event on each of two fanins: at most two output events
+		// and one inertial check.
+		lo := [3]int32{a.lo, b.lo, c.lo}
+		i := bits.TrailingZeros8(tog)
+		j := bits.TrailingZeros8(tog &^ (1 << i))
+		ti, tj := tr[lo[i]], tr[lo[j]]
+		if tj < ti {
+			i, j, ti, tj = j, i, tj, ti
+		}
+		if ti == tj {
+			if v := g.lut >> ((m ^ tog) & 7) & 1; v != tail {
+				tail = v
+				tr = append(tr, ti+d)
+			}
+			break
+		}
+		m ^= 1 << i
+		if v := g.lut >> (m & 7) & 1; v != tail {
+			tail = v
+			tr = append(tr, ti+d)
+		}
+		if v := g.lut >> ((m ^ 1<<j) & 7) & 1; v != tail {
+			tail = v
+			tt := tj + d
+			if n := int32(len(tr)); n > start && tt-tr[n-1] < d {
+				// Inertial rejection, as in merge.
+				tr = tr[:n-1]
+			} else {
+				tr = append(tr, tt)
+			}
+		}
+	default:
+		tr, tail = merge(tr, start, g.lut, m, tail, d,
+			[3]int32{a.lo, b.lo, c.lo}, [3]int32{a.hi, b.hi, c.hi})
+	}
+	s.tr = tr
+	if int32(len(tr)) > start {
+		s.toggled(node, g, start, tail)
+	}
+}
+
+// merge is the general form of propagate: it walks the fanin waveforms
+// tr[lo[i]:hi[i]] in time order from the pre-cycle fanin bits m and
+// output value tail, appends the output waveform from index start on,
+// and returns the arena and the output's final value.
+func merge(tr []float64, start int32, lut, m, tail uint8, d float64, lo, hi [3]int32) ([]float64, uint8) {
+	// head holds the time of each fanin's next transition, +Inf once
+	// none is left (and for quiet fanin slots).
+	inf := math.Inf(1)
+	head := [3]float64{inf, inf, inf}
+	for i := range head {
+		if lo[i] < hi[i] {
+			head[i] = tr[lo[i]]
+		}
+	}
 	for {
 		// The earliest pending transition among fanins.
 		t := head[0]
@@ -468,20 +562,21 @@ func (s *Sim) propagate(g *gate, start int32) {
 			t = head[2]
 		}
 		if t == inf {
-			break
+			return tr, tail
 		}
-		// Apply every transition at exactly t.
+		// Apply every transition at exactly t: each one flips its
+		// fanin.
 		for i := range head {
 			for head[i] == t {
-				m = m&^(1<<i) | b2u(tr[pos[i]].V)<<i
-				pos[i]++
+				m ^= 1 << i
+				lo[i]++
 				head[i] = inf
-				if pos[i] < end[i] {
-					head[i] = tr[pos[i]].T
+				if lo[i] < hi[i] {
+					head[i] = tr[lo[i]]
 				}
 			}
 		}
-		v := g.lut >> m & 1
+		v := lut >> m & 1
 		if v == tail {
 			continue
 		}
@@ -489,15 +584,14 @@ func (s *Sim) propagate(g *gate, start int32) {
 		// alternates, so dropping its last transition restores v too.
 		tail = v
 		tt := t + d
-		if n := int32(len(tr)); n > start && tt-tr[n-1].T < d {
+		if n := int32(len(tr)); n > start && tt-tr[n-1] < d {
 			// Inertial rejection: the previous pulse is narrower
 			// than the gate delay; it never appears at the output.
 			tr = tr[:n-1]
 		} else {
-			tr = append(tr, Trans{tt, v == 1})
+			tr = append(tr, tt)
 		}
 	}
-	s.tr = tr
 }
 
 func b2u(b bool) uint8 {
@@ -513,8 +607,8 @@ func (s *Sim) Value(node int32) bool { return s.val[node] == 1 }
 // Arrival returns the final-transition time of a node in the last Cycle
 // (0 when the node did not toggle).
 func (s *Sim) Arrival(node int32) float64 {
-	if a, b := s.off[node], s.off[node+1]; b > a {
-		return s.tr[b-1].T
+	if sp := s.sp[node]; sp.hi > sp.lo {
+		return s.tr[sp.hi-1]
 	}
 	return 0
 }

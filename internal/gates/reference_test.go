@@ -2,6 +2,12 @@ package gates
 
 import "math"
 
+// Trans is one output transition of the reference simulator.
+type Trans struct {
+	T float64
+	V bool
+}
+
 // This file holds the reference form of the timed simulator: one
 // waveform slice per node and a separately maintained arrival array.
 // The kernel oracle tests pin Sim's Value and Arrival to it, node for

@@ -380,7 +380,9 @@ func (m *Manager) releaseLocked(j *Job) {
 	}
 }
 
-// SubmitAs canonicalizes and enqueues a job on behalf of a client.
+// SubmitAs canonicalizes and enqueues a job on behalf of a client. A
+// spec Canonicalize rejects, or one with a supply at or below the
+// System's threshold, is a client error.
 // Admission order: the client's token bucket first (every submission
 // costs a token, deduped ones included), then dedup — if a live job
 // (queued, running or successfully completed) already carries the same
@@ -393,6 +395,9 @@ func (m *Manager) releaseLocked(j *Job) {
 // OverloadError.
 func (m *Manager) SubmitAs(client string, spec JobSpec) (*Job, bool, error) {
 	c, err := spec.Canonicalize()
+	if err == nil {
+		err = c.checkSupplies(m.opt.System)
+	}
 	if err != nil {
 		return nil, false, err
 	}

@@ -775,3 +775,52 @@ func TestModelAJobLowersToDefaultProbA(t *testing.T) {
 		}
 	}
 }
+
+// A supply at or below the serving System's threshold voltage is a
+// client error for every model kind: fisimd answers 400 naming the
+// entry, and Grid, which every CLI lowers its flags through, fails
+// before any work.
+func TestSubThresholdSupplyRejected(t *testing.T) {
+	vt := system().Cfg.Vdd.Vt
+	cases := []struct {
+		name string
+		run  func(spec JobSpec) (status int, err string)
+	}{
+		{"http", func(spec JobSpec) (int, string) {
+			m := NewManager(Options{System: system()})
+			defer m.Shutdown(context.Background())
+			ts := httptest.NewServer(Handler(m))
+			defer ts.Close()
+			blob, _ := json.Marshal(spec)
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e errorResponse
+			json.NewDecoder(resp.Body).Decode(&e)
+			return resp.StatusCode, e.Error
+		}},
+		{"grid", func(spec JobSpec) (int, string) {
+			c, err := spec.Canonicalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Grid(system(), nil, 1, nil); err != nil {
+				return http.StatusBadRequest, err.Error()
+			}
+			return http.StatusOK, ""
+		}},
+	}
+	for _, tc := range cases {
+		for _, model := range []string{"none", "A", "B", "C"} {
+			spec := JobSpec{Benches: []string{"median"}, Models: []string{model},
+				Vdds: []float64{0.7, vt}, Freqs: []float64{700}, Trials: 2}
+			status, msg := tc.run(spec)
+			if status != http.StatusBadRequest || !strings.Contains(msg, "vdds[1]") {
+				t.Errorf("%s, model %s, vdds %v: status %d, error %q; want 400 naming vdds[1]",
+					tc.name, model, spec.Vdds, status, msg)
+			}
+		}
+	}
+}

@@ -244,6 +244,21 @@ func (s JobSpec) Fingerprint(sysFingerprint string) string {
 	return hex.EncodeToString(h[:])
 }
 
+// checkSupplies rejects every supply at or below the threshold voltage
+// of the System that serves the spec, whatever the model kinds: no gate
+// switches there, so no cell of the grid has a meaning. Canonicalize
+// cannot check it, because the threshold belongs to the System;
+// Manager.SubmitAs and Grid, which have the System, do.
+func (s JobSpec) checkSupplies(sys *core.System) error {
+	vt := sys.Cfg.Vdd.Vt
+	for i, v := range s.Vdds {
+		if v <= vt {
+			return fmt.Errorf("vdds[%d]: supply %v V at or below the %v V threshold", i, v, vt)
+		}
+	}
+	return nil
+}
+
 // Grid lowers a canonical spec onto the mc grid engine. The benchmark
 // names must already be canonical (Canonicalize validates them); the
 // store (may be nil) enables cell checkpointing and warm resume, which
@@ -254,6 +269,9 @@ func (s JobSpec) Fingerprint(sysFingerprint string) string {
 // canonical spec onto its own System — same fingerprint, same cell
 // keys, bit-identical Points.
 func (s JobSpec) Grid(sys *core.System, store *artifact.Store, workers int, onProgress func(mc.Progress)) (mc.Grid, error) {
+	if err := s.checkSupplies(sys); err != nil {
+		return mc.Grid{}, err
+	}
 	benches := make([]*bench.Benchmark, len(s.Benches))
 	for i, n := range s.Benches {
 		b, err := bench.ByName(n)
