@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/circuit"
@@ -155,21 +157,28 @@ func MismatchPct(got, want []uint32) float64 {
 // ---------------------------------------------------------------------
 // helpers
 
-// wordList renders values as .word directives, 8 per line.
+// wordList renders values as .word directives, 8 per line, through one
+// builder: a kernel's data section is thousands of words, and the bytes
+// are hashed into every artifact key (core.System.BenchDigest), so they
+// must not change.
 func wordList(vals []uint32) string {
-	out := ""
+	var b strings.Builder
+	b.Grow(13*len(vals) + 1)
+	var num [8]byte
 	for i, v := range vals {
 		if i%8 == 0 {
 			if i > 0 {
-				out += "\n"
+				b.WriteByte('\n')
 			}
-			out += "\t.word "
+			b.WriteString("\t.word ")
 		} else {
-			out += ", "
+			b.WriteString(", ")
 		}
-		out += fmt.Sprintf("0x%x", v)
+		b.WriteString("0x")
+		b.Write(strconv.AppendUint(num[:0], uint64(v), 16))
 	}
-	return out + "\n"
+	b.WriteByte('\n')
+	return b.String()
 }
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -229,3 +229,31 @@ func TestByName(t *testing.T) {
 		t.Errorf("unknown name must error")
 	}
 }
+
+// TestWordListSpelling pins the data-section rendering byte for byte:
+// the generated source is hashed into every golden, hazard and cell
+// key, so a rendering change that alters a single byte would silently
+// orphan every stored artifact. Lengths straddle the 8-per-line wrap;
+// the values are the shortest and longest hex spellings.
+func TestWordListSpelling(t *testing.T) {
+	const row = "0x0, 0xffffffff, 0x0, 0xffffffff, 0x0, 0xffffffff, 0x0, 0xffffffff"
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{0, "\n"},
+		{1, "\t.word 0x0\n"},
+		{7, "\t.word 0x0, 0xffffffff, 0x0, 0xffffffff, 0x0, 0xffffffff, 0x0\n"},
+		{8, "\t.word " + row + "\n"},
+		{9, "\t.word " + row + "\n\t.word 0x0\n"},
+		{17, "\t.word " + row + "\n\t.word " + row + "\n\t.word 0x0\n"},
+	} {
+		vals := make([]uint32, tc.n)
+		for i := 1; i < tc.n; i += 2 {
+			vals[i] = 0xffffffff
+		}
+		if got := wordList(vals); got != tc.want {
+			t.Errorf("wordList(%d words) = %q, want %q", tc.n, got, tc.want)
+		}
+	}
+}

@@ -66,7 +66,8 @@ func DefaultConfig() Config {
 // immutable after construction and it is safe for concurrent use:
 // characterizations cache inside Char, and instantiated fault models,
 // golden traces and hazard tables cache inside the system itself, each
-// in a singleflight memo.Map (see Model, Golden and Hazard).
+// in a singleflight memo.Map (see Model, Golden, Hazard and
+// BenchDigest).
 type System struct {
 	Cfg  Config
 	ALU  *circuit.ALU
@@ -75,6 +76,7 @@ type System struct {
 	models  memo.Map[modelKey, fi.Model]
 	goldens memo.Map[goldenKey, *Golden]
 	hazards memo.Map[hazardKey, *fi.Hazard]
+	digests memo.Map[goldenKey, string]
 
 	artifacts *artifact.Store
 
@@ -341,21 +343,26 @@ func (s *System) Golden(b *bench.Benchmark, inputSeed int64) (*Golden, error) {
 // seed — the generated source and the expected output words — so cache
 // keys survive benchmark *code* changes, not just renames: editing a
 // kernel in internal/bench invalidates every artifact recorded against
-// the old program instead of silently replaying a stale trace.
-func BenchDigest(b *bench.Benchmark, inputSeed int64) (string, error) {
-	src, want, err := b.Build(inputSeed)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	io.WriteString(h, b.Name)
-	h.Write([]byte{0})
-	io.WriteString(h, src)
-	h.Write([]byte{0})
-	for _, w := range want {
-		h.Write([]byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
+// the old program instead of silently replaying a stale trace. Building
+// a program costs milliseconds, so the digest is memoized per System
+// under the same (benchmark, input seed) key as Golden: golden, hazard
+// and cell keys, and every cluster lease's plan, share one build.
+func (s *System) BenchDigest(b *bench.Benchmark, inputSeed int64) (string, error) {
+	return s.digests.Get(goldenKey{bench: b.Name, inputSeed: inputSeed}, func() (string, error) {
+		src, want, err := b.Build(inputSeed)
+		if err != nil {
+			return "", err
+		}
+		h := sha256.New()
+		io.WriteString(h, b.Name)
+		h.Write([]byte{0})
+		io.WriteString(h, src)
+		h.Write([]byte{0})
+		for _, w := range want {
+			h.Write([]byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
+		}
+		return hex.EncodeToString(h.Sum(nil)[:16]), nil
+	})
 }
 
 // goldenStoreKey spells out every input the recorded trace depends on:
@@ -364,7 +371,7 @@ func BenchDigest(b *bench.Benchmark, inputSeed int64) (string, error) {
 // checkpoint boundary), the checkpoint interval, and the recording
 // watchdog.
 func (s *System) goldenStoreKey(b *bench.Benchmark, inputSeed int64) (string, error) {
-	digest, err := BenchDigest(b, inputSeed)
+	digest, err := s.BenchDigest(b, inputSeed)
 	if err != nil {
 		return "", err
 	}

@@ -359,3 +359,39 @@ func FuzzDecodeHazard(f *testing.F) {
 		}
 	})
 }
+
+// TestBenchDigestsPinned pins every registered benchmark's program
+// digest at input seed 42. The digest is the program component of every
+// golden, hazard and cell key, so a change to kernel generation or to
+// source rendering (bench's wordList) that alters the program bytes
+// orphans every stored artifact; such a change must show up here and be
+// made deliberately. The second call checks the memoized value.
+func TestBenchDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"median":          "81e73c3464316edbb683c0ea11a3ff74",
+		"mat_mult_8bit":   "2d418227b79c66b7d26dfb6199fc26e6",
+		"mat_mult_16bit":  "6c1d147d567a5674bf8f8a32a3349192",
+		"kmeans":          "eb8aa570e946172b40ef29dcf4e0f9be",
+		"dijkstra":        "8c4a3481869b0a033549a952dde52322",
+		"micro_add_16bit": "d4d1e1122dfd6459182e6e5834efa279",
+		"micro_add_32bit": "162180935cb45f722b8bc63f07c60c56",
+		"micro_mul_16bit": "6c77b6a7872706d7aaf234e9be35451b",
+		"checksum":        "ecfe4b23af5d82321cc2b07822e4c119",
+	}
+	s := New(DefaultConfig())
+	all := append(append(bench.All(), bench.Micros()...), bench.Extras()...)
+	if len(all) != len(want) {
+		t.Errorf("%d registered benchmarks, %d pinned digests", len(all), len(want))
+	}
+	for _, b := range all {
+		for range 2 {
+			got, err := s.BenchDigest(b, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[b.Name] {
+				t.Errorf("BenchDigest(%s, 42) = %s, want %s", b.Name, got, want[b.Name])
+			}
+		}
+	}
+}

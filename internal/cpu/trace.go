@@ -174,17 +174,49 @@ func (c *CPU) checkpoint() {
 }
 
 // Restore rewinds the core and its memory to a recorded checkpoint of a
-// golden trace: the program images are reloaded, the store log is
-// replayed up to the checkpoint, and every architectural and accounting
-// field is reset to the recorded values. Like Load, it assumes the
-// memory outside the program images is already zeroed (Mem.Reset).
-// Execution then continues exactly as the recorded run did from that
-// boundary.
+// golden trace: the program images are reloaded and the core is
+// fast-forwarded from store-log entry 0 (see FastForward). Like Load,
+// it assumes the memory outside the program images is already zeroed
+// (Mem.Reset). Execution then continues exactly as the recorded run did
+// from that boundary.
 func (c *CPU) Restore(p *asm.Program, t *Trace, cp *Checkpoint) error {
 	if err := c.Load(p); err != nil {
 		return err
 	}
-	for _, s := range t.Stores[:cp.StoreIndex] {
+	return c.fastForward(t, 0, cp)
+}
+
+// FastForward moves a golden walker — a core Restored from a checkpoint
+// of t and since then only run fault-free (RunToQuery) or
+// fast-forwarded — ahead to the later checkpoint cp without stepping:
+// memory receives the store-log entries between the walker's cursor and
+// cp.StoreIndex, and every architectural and accounting field takes the
+// recorded values. The result is the state golden stepping would reach
+// at cp, so a walker serving forks far apart pays for at most one
+// checkpoint interval of stepping per fork. The cursor is read off the
+// memory's store counter: in the golden run every store instruction
+// logs one entry and counts one store, so counter minus log index is
+// the same at every checkpoint.
+func (c *CPU) FastForward(t *Trace, cp *Checkpoint) error {
+	return c.fastForward(t, c.storeCursor(cp), cp)
+}
+
+// storeCursor is the number of t's store-log entries a golden walker's
+// memory already holds, given any checkpoint cp of the same trace.
+func (c *CPU) storeCursor(cp *Checkpoint) int {
+	return int(c.Mem.Stores - (cp.Stores - uint64(cp.StoreIndex)))
+}
+
+// fastForward applies t.Stores[cursor:cp.StoreIndex] to memory and
+// loads cp's registers and counters. Replaying an entry memory already
+// holds rewrites the same bytes, but skipping one loses a store, so
+// cursor must not exceed the walker's true position.
+func (c *CPU) fastForward(t *Trace, cursor int, cp *Checkpoint) error {
+	if cursor < 0 || cursor > cp.StoreIndex || cp.StoreIndex > len(t.Stores) {
+		return fmt.Errorf("cpu: store-log cursor %d outside [0, %d] (log has %d entries)",
+			cursor, cp.StoreIndex, len(t.Stores))
+	}
+	for _, s := range t.Stores[cursor:cp.StoreIndex] {
 		var err error
 		switch s.Size {
 		case 1:

@@ -635,17 +635,19 @@ type opTable struct {
 	// inject at this model's period (noiseScale.rejectFrom).
 	dvSafe float64
 
-	// haz is the table's first-fault sampling state, built lazily on
-	// first MarginalProb/SampleAt use; it depends on the model's
+	// haz is the table's marginal per-query injection probability,
+	// built lazily on first MarginalProb use; it depends on the model's
 	// operating point and sampling mode, which are fixed per opTable.
 	haz struct {
 		once sync.Once
-		// prob is the marginal per-query injection probability.
 		prob float64
-		// sortedMax / order support joint conditional sampling:
-		// MaxPerCycle ascending, and cycle indices by MaxPerCycle
-		// descending (the first k entries are exactly the k violating
-		// cycles at any effective period).
+	}
+	// joint supports joint conditional sampling, built lazily by
+	// jointIndex: MaxPerCycle ascending, and cycle indices by
+	// MaxPerCycle descending (the first k entries are exactly the k
+	// violating cycles at any effective period).
+	joint struct {
+		once      sync.Once
 		sortedMax []float64
 		order     []int
 	}
@@ -661,12 +663,29 @@ func (t *opTable) gridIndex(eff float64) int {
 	return idx
 }
 
+// jointIndex builds the table's joint-sampling cycle index once.
+func (t *opTable) jointIndex() {
+	t.joint.once.Do(func() {
+		n := t.ch.Cycles
+		t.joint.sortedMax = make([]float64, n)
+		copy(t.joint.sortedMax, t.ch.MaxPerCycle)
+		sort.Float64s(t.joint.sortedMax)
+		t.joint.order = make([]int, n)
+		for i := range t.joint.order {
+			t.joint.order[i] = i
+		}
+		sort.SliceStable(t.joint.order, func(a, b int) bool {
+			return t.ch.MaxPerCycle[t.joint.order[a]] > t.ch.MaxPerCycle[t.joint.order[b]]
+		})
+	})
+}
+
 // violCycles counts characterization cycles whose worst arrival plus
-// setup exceeds the effective period (requires haz.sortedMax).
+// setup exceeds the effective period (requires jointIndex).
 func (t *opTable) violCycles(eff float64) int {
 	x := eff - t.ch.SetupPs
-	i := sort.SearchFloat64s(t.haz.sortedMax, math.Nextafter(x, math.Inf(1)))
-	return len(t.haz.sortedMax) - i
+	i := sort.SearchFloat64s(t.joint.sortedMax, math.Nextafter(x, math.Inf(1)))
+	return len(t.joint.sortedMax) - i
 }
 
 // violationsAtCycle folds characterization cycle j's arrivals into a
@@ -834,26 +853,14 @@ func (m *ModelC) injectProbAt(t *opTable, mNoise float64) float64 {
 	return 1 - t.g.PNone[t.gridIndex(eff)]
 }
 
-// hazardOf lazily computes the table's first-fault sampling state: the
-// marginal injection probability (noise integrated out numerically over
-// the noiseScale table), and the sorted cycle index joint sampling
-// conditions on. An opTable belongs to one model instance (only its
-// violation grid is shared across models), so a single sync.Once per
-// table suffices.
+// hazardOf lazily computes the table's marginal injection probability:
+// the noise integrated out numerically over the noiseScale table. An
+// opTable belongs to one model instance (only its violation grid is
+// shared across models), so a single sync.Once per table suffices.
 func (m *ModelC) hazardOf(t *opTable) float64 {
 	t.haz.once.Do(func() {
 		if m.sampling == Joint {
-			n := t.ch.Cycles
-			t.haz.sortedMax = make([]float64, n)
-			copy(t.haz.sortedMax, t.ch.MaxPerCycle)
-			sort.Float64s(t.haz.sortedMax)
-			t.haz.order = make([]int, n)
-			for i := range t.haz.order {
-				t.haz.order[i] = i
-			}
-			sort.SliceStable(t.haz.order, func(a, b int) bool {
-				return t.ch.MaxPerCycle[t.haz.order[a]] > t.ch.MaxPerCycle[t.haz.order[b]]
-			})
+			t.jointIndex()
 		}
 		t.haz.prob = m.noise.marginal(func(f float64) float64 { return m.injectProbAt(t, f) })
 	})
@@ -880,7 +887,9 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 	if t == nil {
 		return result, flag, 0 // unreachable: MarginalProb(op) = 0
 	}
-	m.hazardOf(t) // ensure the joint cycle index exists
+	if m.sampling == Joint {
+		t.jointIndex()
+	}
 	pInj := func(f float64) float64 { return m.injectProbAt(t, f) }
 	mNoise := m.noise.conditionedFactor(rng, pInj, pInj(m.noise.maxFactor()))
 	eff := m.periodPs / mNoise
@@ -891,7 +900,7 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 		if k <= 0 {
 			k = 1 // unreachable: conditioning guarantees >= 1 violating cycle
 		}
-		j := t.haz.order[rng.Intn(k)]
+		j := t.joint.order[rng.Intn(k)]
 		viol, flagViol = t.violationsAtCycle(j, eff)
 	} else {
 		viol, flagViol = t.sampleSubsetAt(rng, t.gridIndex(eff))

@@ -155,7 +155,7 @@ func (g Grid) Cells() []Cell {
 
 // cellKey spells out everything a cell's Point depends on: the system
 // fingerprint (netlists, DTA, Vdd-delay, CPU timing), the benchmark's
-// program content (core.BenchDigest, so editing a kernel invalidates
+// program content (System.BenchDigest, so editing a kernel invalidates
 // its cells) and input seed, the resolved model spec, every
 // trial-allocation parameter, and the trial path class. Workers is
 // deliberately absent (the engine guarantees bit-identical results
@@ -239,10 +239,9 @@ func (g Grid) PlanCells() ([]PlannedCell, error) {
 	s := g.Spec.withDefaults()
 	cells := g.Cells()
 	fingerprint := s.System.Fingerprint()
-	r := &resolver{s: s} // for its digest memo only
 	plan := make([]PlannedCell, len(cells))
 	for i, c := range cells {
-		digest, err := r.digest(c.Bench)
+		digest, err := s.System.BenchDigest(c.Bench, s.InputSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -288,21 +287,19 @@ type resolvedCell struct {
 }
 
 // resolver turns grid coordinates into engine-ready pointStates. It is
-// safe for concurrent use: the per-benchmark artifacts (program
-// digest, golden execution context) are keyed by benchmark name in
-// singleflight memo.Maps — the first cell of a benchmark to arrive
-// computes them, concurrent cells of the same benchmark block on that
-// one computation — and the model/golden/hazard caches inside
-// core.System are singleflight themselves, so N racing cells never
-// duplicate a build.
+// safe for concurrent use: the golden execution context is keyed by
+// benchmark name in a singleflight memo.Map — the first cell of a
+// benchmark to arrive computes it, concurrent cells of the same
+// benchmark block on that one computation — and the program digest
+// and the model/golden/hazard caches inside core.System are
+// singleflight themselves, so N racing cells never duplicate a build.
 type resolver struct {
 	s           Spec
 	store       *artifact.Store
 	resume      bool
 	fingerprint string
 
-	digests memo.Map[string, string]
-	ctxs    memo.Map[string, *benchCtx]
+	ctxs memo.Map[string, *benchCtx]
 }
 
 func newResolver(s Spec, g Grid) *resolver {
@@ -311,12 +308,6 @@ func newResolver(s Spec, g Grid) *resolver {
 		r.fingerprint = s.System.Fingerprint()
 	}
 	return r
-}
-
-// digest returns the benchmark's program digest, computing it once per
-// benchmark.
-func (r *resolver) digest(b *bench.Benchmark) (string, error) {
-	return r.digests.Get(b.Name, func() (string, error) { return core.BenchDigest(b, r.s.InputSeed) })
 }
 
 // benchCtx returns the benchmark's shared execution context, running
@@ -335,7 +326,7 @@ func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
 func (r *resolver) resolve(c Cell) resolvedCell {
 	var key string
 	if r.store != nil {
-		digest, err := r.digest(c.Bench)
+		digest, err := r.s.System.BenchDigest(c.Bench, r.s.InputSeed)
 		if err != nil {
 			return resolvedCell{err: err}
 		}

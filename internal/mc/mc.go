@@ -666,23 +666,27 @@ func (e *engine) plan(p *pointState, from, to int) {
 // runChunk executes one chunk of planned faulting trials over a shared
 // golden prefix: the checkpoint before the chunk's first fork is
 // restored (and its text image decoded) once into the worker's walker
-// core, the walker golden-steps forward to each fork point in order
-// (RunToQuery — fork points are sorted, so it only ever advances), and
-// each trial runs a copy-on-write fork of the walker (CPU.ForkFrom)
-// over the worker's trial memory. The fork executes query q itself
-// with the planned corrupted capture and binds the trial injector
-// directly for every later query. Forking at query q is bit-identical
-// to independently restoring the nearest checkpoint and replaying
-// golden values up to q (pinned by cpu's TestForkMatchesRestore), so
-// every trial's outcome matches an independent per-trial restore
-// exactly.
+// core, and the walker moves forward to each fork point in order (fork
+// points are sorted, so it only ever advances). When the checkpoint
+// before the next fork lies ahead of the walker, the walker jumps there
+// (CPU.FastForward: the golden store-log entries in between, then the
+// checkpoint's registers and counters) and golden-steps only the rest
+// of the way (RunToQuery), so each trial pays for at most one
+// checkpoint interval of stepping. Each trial runs a copy-on-write
+// fork of the walker (CPU.ForkFrom) over the worker's trial memory.
+// The fork executes query q itself with the planned corrupted capture
+// and binds the trial injector directly for every later query. Forking
+// at query q is bit-identical to independently restoring the nearest
+// checkpoint and replaying golden values up to q (pinned by cpu's
+// TestForkMatchesRestore and FuzzWalkerFastForward), so every trial's
+// outcome matches an independent per-trial restore exactly.
 func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 	s := e.s
 	ctx := p.ctx
-	cp := ctx.golden.Trace.CheckpointBefore(ch.trials[0].fork.Query)
+	tr := ctx.golden.Trace
 	wm.Reset()
 	walker := cpu.New(wm, nil, s.System.Cfg.CPU)
-	if err := walker.Restore(ctx.golden.Prog, ctx.golden.Trace, cp); err != nil {
+	if err := walker.Restore(ctx.golden.Prog, tr, tr.CheckpointBefore(ch.trials[0].fork.Query)); err != nil {
 		for _, t := range ch.trials {
 			e.complete(p, t.ti, trialResult{err: err})
 		}
@@ -695,6 +699,14 @@ func (e *engine) runChunk(m, wm *mem.Memory, p *pointState, ch *trialChunk) {
 			// Cancelled mid-chunk: the remaining trials stay incomplete,
 			// which keeps the cell open and lets run() report the abort.
 			return
+		}
+		if cp := tr.CheckpointBefore(t.fork.Query); cp.Cycles > walker.Cycles {
+			if err := walker.FastForward(tr, cp); err != nil {
+				for _, t := range ch.trials[i:] {
+					e.complete(p, t.ti, trialResult{err: err})
+				}
+				return
+			}
 		}
 		if st := walker.RunToQuery(uint64(t.fork.Query)); st != cpu.StatusRunning {
 			e.complete(p, t.ti, trialResult{err: fmt.Errorf(

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/artifact"
@@ -124,4 +125,53 @@ func TestPlanCellsKeysMatchCheckpoints(t *testing.T) {
 				i, *pc.Point, full[i].Point)
 		}
 	}
+}
+
+// TestReplanAllocatesLittle pins that planning is paid once per System:
+// a cluster worker replans the whole grid for every lease it serves, so
+// a second PlanCells of the benchmark's cluster grid (median and
+// checksum x model C x sigma 0, 0.010 x 720..820 MHz, 24 cells) on one
+// warm System must allocate under 256 KiB — the cell keys, not a
+// rebuild of either program for its digest.
+func TestReplanAllocatesLittle(t *testing.T) {
+	g := Grid{
+		Spec: Spec{
+			System: system(),
+			Model:  core.ModelSpec{Kind: "C", Vdd: 0.7},
+			Trials: 32,
+			Seed:   1,
+		},
+		Axes: Axes{
+			Benches: []*bench.Benchmark{bench.Median(), bench.Checksum()},
+			Sigmas:  []float64{0, 0.010},
+			Freqs:   []float64{720, 740, 760, 780, 800, 820},
+		},
+	}
+	first, err := g.PlanCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 24 {
+		t.Fatalf("planned %d cells, want 24", len(first))
+	}
+	// The least of three replans, so that an allocation elsewhere in the
+	// process cannot fail the test.
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		again, err := g.PlanCells()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatal("replanning changed the plan")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 256<<10 {
+		t.Errorf("replanning allocated %d bytes, want under %d", least, 256<<10)
+	}
+	t.Logf("replanning allocated %d bytes", least)
 }
