@@ -16,10 +16,12 @@
 // every cache atomically. Writes go through a temp-file rename, so an
 // interrupted run never leaves a torn blob behind.
 //
-// artifact is a leaf of the dependency graph (stdlib only), depended on
-// by dta, core, mc and server; it is what turns every warm start in the
-// stack — repeated CLI runs, resumed grids, deduplicated daemon jobs —
-// into file reads.
+// Cache (cache.go) is the one load-or-build path over a Store: every
+// kind is loaded, validated, built, written and counted there, and no
+// other code calls Get or Put. artifact depends only on memo and the
+// stdlib, and is depended on by dta, core, mc, cluster and server; it
+// is what turns every warm start in the stack — repeated CLI runs,
+// resumed grids, deduplicated daemon jobs — into file reads.
 package artifact
 
 import (

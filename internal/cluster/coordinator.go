@@ -54,6 +54,7 @@ type Config struct {
 type Coordinator struct {
 	system *core.System
 	store  *artifact.Store
+	cells  *artifact.Cache[string, mc.Point]
 	cfg    Config
 
 	mu      sync.Mutex
@@ -84,7 +85,7 @@ func New(sys *core.System, store *artifact.Store, workerURLs []string, cfg Confi
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 5 * time.Minute
 	}
-	c := &Coordinator{system: sys, store: store, cfg: cfg}
+	c := &Coordinator{system: sys, store: store, cells: mc.CellCache(store), cfg: cfg}
 	for _, u := range workerURLs {
 		cc := cfg.Client
 		cc.Base = u
@@ -498,13 +499,9 @@ func (c *Coordinator) acceptCell(j *job, l *lease, ev LeaseEvent) error {
 	c.stats.CellsCompleted++
 	c.mu.Unlock()
 
-	if c.store != nil {
-		// Checkpoint coordinator-side so a restarted coordinator resumes
-		// this grid from its own disk, independent of worker caches.
-		if blob, err := artifact.EncodeGob(*ev.Point); err == nil {
-			_ = c.store.Put(artifact.KindGridCell, pc.Key, blob)
-		}
-	}
+	// Checkpoint coordinator-side so a restarted coordinator resumes
+	// this grid from its own disk, independent of worker caches.
+	c.cells.Save(pc.Key, *ev.Point)
 	return nil
 }
 

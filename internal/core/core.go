@@ -65,26 +65,21 @@ func DefaultConfig() Config {
 // System is one instantiated simulation stack. Its configuration is
 // immutable after construction and it is safe for concurrent use:
 // characterizations cache inside Char, and instantiated fault models,
-// golden traces and hazard tables cache inside the system itself, each
-// in a singleflight memo.Map (see Model, Golden, Hazard and
-// BenchDigest).
+// golden traces, hazard tables and program digests cache inside the
+// system itself, each in a singleflight memo.Map (see Model, Golden,
+// Hazard and BenchDigest); golden traces and hazard tables reach it
+// through an artifact.Cache, which puts the attached store behind it.
 type System struct {
 	Cfg  Config
 	ALU  *circuit.ALU
 	Char *dta.Characterizer
 
 	models  memo.Map[modelKey, fi.Model]
-	goldens memo.Map[goldenKey, *Golden]
-	hazards memo.Map[hazardKey, *fi.Hazard]
+	goldens artifact.Cache[goldenKey, *Golden]
+	hazards artifact.Cache[hazardKey, *fi.Hazard]
 	digests memo.Map[goldenKey, string]
 
-	artifacts *artifact.Store
-
-	modelsBuilt    atomic.Int64 // fault models actually instantiated
-	goldenRecorded atomic.Int64 // golden traces actually executed+recorded
-	goldenLoaded   atomic.Int64 // golden traces served from the artifact store
-	hazardsBuilt   atomic.Int64 // hazard tables actually constructed
-	hazardsLoaded  atomic.Int64 // hazard tables served from the artifact store
+	modelsBuilt atomic.Int64 // fault models actually instantiated
 }
 
 // New builds and calibrates a system.
@@ -94,23 +89,33 @@ func New(cfg Config) *System {
 		Cfg:  cfg,
 		ALU:  alu,
 		Char: dta.NewCharacterizer(alu, cfg.Vdd, cfg.DTA),
+		goldens: artifact.Cache[goldenKey, *Golden]{
+			Kind:   artifact.KindGoldenTrace,
+			Encode: func(g *Golden) ([]byte, error) { return cpu.EncodeTrace(g.Trace) },
+		},
+		hazards: artifact.Cache[hazardKey, *fi.Hazard]{
+			Kind:   artifact.KindHazard,
+			Encode: func(h *fi.Hazard) ([]byte, error) { return encodeHazard(h), nil },
+		},
 	}
 }
 
 // AttachStore wires a persistent artifact store into the system: DTA
-// characterizations and golden traces are loaded from it before being
-// computed and saved to it afterwards. Call right after New, before any
-// simulation. The store is purely an accelerator — every artifact key
-// spells out the full configuration fingerprint, so a mismatched cache
-// directory degrades to cold-start, never to wrong results.
+// characterizations, golden traces and hazard tables are loaded from it
+// before being computed and saved to it afterwards. Call right after
+// New, before any simulation. The store is purely an accelerator —
+// every artifact key spells out the full configuration fingerprint, so
+// a mismatched cache directory degrades to cold-start, never to wrong
+// results.
 func (s *System) AttachStore(st *artifact.Store) {
-	s.artifacts = st
 	s.Char.SetStore(st)
+	s.goldens.Store = st
+	s.hazards.Store = st
 }
 
 // ArtifactStore returns the attached store (nil when running purely
 // in-memory).
-func (s *System) ArtifactStore() *artifact.Store { return s.artifacts }
+func (s *System) ArtifactStore() *artifact.Store { return s.goldens.Store }
 
 // Fingerprint canonically encodes the full system configuration. It is
 // the prefix of every artifact cache key derived from this system
@@ -119,11 +124,7 @@ func (s *System) Fingerprint() string { return fmt.Sprintf("%+v", s.Cfg) }
 
 // GoldenRecordedCount reports how many golden traces this system
 // actually executed and recorded (cache misses all the way through).
-func (s *System) GoldenRecordedCount() int64 { return s.goldenRecorded.Load() }
-
-// GoldenLoadedCount reports how many golden traces were served from the
-// attached artifact store.
-func (s *System) GoldenLoadedCount() int64 { return s.goldenLoaded.Load() }
+func (s *System) GoldenRecordedCount() int64 { return s.goldens.Built() }
 
 // ModelsBuiltCount reports how many fault-model instances the Model
 // cache actually constructed — with the singleflight cache, concurrent
@@ -136,8 +137,8 @@ func (s *System) ModelsBuiltCount() int64 { return s.modelsBuilt.Load() }
 func (s *System) CacheSummary() string {
 	return fmt.Sprintf("characterizations: %d computed, %d loaded; goldens: %d recorded, %d loaded; hazards: %d built, %d loaded; models: %d built",
 		s.Char.ComputedCount(), s.Char.LoadedCount(),
-		s.goldenRecorded.Load(), s.goldenLoaded.Load(),
-		s.hazardsBuilt.Load(), s.hazardsLoaded.Load(),
+		s.goldens.Built(), s.goldens.Loaded(),
+		s.hazards.Built(), s.hazards.Loaded(),
 		s.modelsBuilt.Load())
 }
 
@@ -321,22 +322,10 @@ func (s *System) Golden(b *bench.Benchmark, inputSeed int64) (*Golden, error) {
 	if b.PerTrialInputs {
 		return nil, fmt.Errorf("core: %s regenerates inputs per trial; no shared golden trace", b.Name)
 	}
-	return s.goldens.Get(goldenKey{bench: b.Name, inputSeed: inputSeed}, func() (*Golden, error) {
-		g, err := s.loadGolden(b, inputSeed)
-		if err != nil {
-			return nil, err
-		}
-		if g != nil {
-			s.goldenLoaded.Add(1)
-			return g, nil
-		}
-		if g, err = s.recordGolden(b, inputSeed); err != nil {
-			return nil, err
-		}
-		s.goldenRecorded.Add(1)
-		s.saveGolden(b, inputSeed, g)
-		return g, nil
-	})
+	return s.goldens.Get(goldenKey{bench: b.Name, inputSeed: inputSeed},
+		func() (string, error) { return s.goldenStoreKey(b, inputSeed) },
+		func(payload []byte) (*Golden, bool) { return decodeGolden(b, inputSeed, payload) },
+		func() (*Golden, error) { return s.recordGolden(b, inputSeed) })
 }
 
 // BenchDigest hashes the benchmark's actual program content at an input
@@ -379,63 +368,27 @@ func (s *System) goldenStoreKey(b *bench.Benchmark, inputSeed int64) (string, er
 		s.Cfg.CPU, b.Name, digest, inputSeed, cpu.DefaultCheckpointInterval, goldenWatchdog), nil
 }
 
-// loadGolden fetches a persisted golden trace. The program and expected
-// outputs are rebuilt from the benchmark definition (assembly is cheap
-// and deterministic); only the expensive part — the recorded execution —
-// comes from disk. Returns (nil, nil) on a miss or any untrusted blob,
-// in which case the caller records fresh.
-func (s *System) loadGolden(b *bench.Benchmark, inputSeed int64) (*Golden, error) {
-	if s.artifacts == nil {
-		return nil, nil
-	}
-	key, err := s.goldenStoreKey(b, inputSeed)
-	if err != nil {
-		return nil, err
-	}
-	payload, ok, _ := s.artifacts.Get(artifact.KindGoldenTrace, key)
-	if !ok {
-		return nil, nil
-	}
-	// A payload without the delta codec's magic (a gob blob from before
-	// the codec) is a miss like any other undecodable blob: the caller
-	// re-records and overwrites it.
+// decodeGolden rebuilds a golden trace from its persisted recording.
+// The program and expected outputs are rebuilt from the benchmark
+// definition (assembly is cheap and deterministic); only the expensive
+// part — the recorded execution — comes from disk. A payload without
+// the trace codec's magic, a trace that did not exit cleanly (or
+// predates checkpoint-at-0 recording) and a program that no longer
+// builds are all misses: the caller records fresh.
+func decodeGolden(b *bench.Benchmark, inputSeed int64, payload []byte) (*Golden, bool) {
 	tr, err := cpu.DecodeTrace(payload)
-	if err != nil {
-		return nil, nil
-	}
-	if tr.Status != cpu.StatusExited || len(tr.Checkpoints) == 0 {
-		// A trace that did not exit cleanly (or predates checkpoint-at-0
-		// recording) cannot serve replay; recompute.
-		return nil, nil
+	if err != nil || tr.Status != cpu.StatusExited || len(tr.Checkpoints) == 0 {
+		return nil, false
 	}
 	src, want, err := b.Build(inputSeed)
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
 	p, err := asm.Assemble(src)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.Name, err)
+		return nil, false
 	}
-	g := &Golden{Prog: p, Want: want, Trace: tr}
-	g.Queries = queriesOf(tr)
-	return g, nil
-}
-
-// saveGolden persists a freshly recorded trace; write failures are
-// ignored (the run already holds its in-memory instance).
-func (s *System) saveGolden(b *bench.Benchmark, inputSeed int64, g *Golden) {
-	if s.artifacts == nil {
-		return
-	}
-	key, err := s.goldenStoreKey(b, inputSeed)
-	if err != nil {
-		return
-	}
-	payload, err := cpu.EncodeTrace(g.Trace)
-	if err != nil {
-		return
-	}
-	_ = s.artifacts.Put(artifact.KindGoldenTrace, key, payload)
+	return &Golden{Prog: p, Want: want, Trace: tr, Queries: queriesOf(tr)}, true
 }
 
 // queriesOf derives the fi-facing query stream from a trace's ALU events.

@@ -28,11 +28,7 @@ type hazardKey struct {
 // HazardBuiltCount reports how many hazard tables this system actually
 // constructed (marginalization + prefix fold), as opposed to serving
 // from memory or the store.
-func (s *System) HazardBuiltCount() int64 { return s.hazardsBuilt.Load() }
-
-// HazardLoadedCount reports how many hazard tables were served from the
-// attached artifact store.
-func (s *System) HazardLoadedCount() int64 { return s.hazardsLoaded.Load() }
+func (s *System) HazardBuiltCount() int64 { return s.hazards.Built() }
 
 // Hazard returns the first-fault sampling table of the benchmark's
 // golden trace under the given model spec, building (and caching, and —
@@ -53,20 +49,17 @@ func (s *System) Hazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec) (*f
 		return nil, err
 	}
 	// Load-or-build runs once per key; concurrent callers of the same
-	// key block on it and share the one table. The build cannot fail:
-	// loadHazard degrades to nil on any store problem and BuildHazard is
-	// total.
+	// key block on it and share the one table. A stored table whose
+	// length does not match the live query stream is a miss, and the
+	// build cannot fail: BuildHazard is total.
 	k := hazardKey{golden: goldenKey{bench: b.Name, inputSeed: inputSeed}, model: spec.key()}
-	return s.hazards.Get(k, func() (*fi.Hazard, error) {
-		if h := s.loadHazard(b, inputSeed, spec, len(g.Queries)); h != nil {
-			s.hazardsLoaded.Add(1)
-			return h, nil
-		}
-		h := fi.BuildHazard(hm, g.Queries)
-		s.hazardsBuilt.Add(1)
-		s.saveHazard(b, inputSeed, spec, h)
-		return h, nil
-	})
+	return s.hazards.Get(k,
+		func() (string, error) { return s.hazardStoreKey(b, inputSeed, spec) },
+		func(payload []byte) (*fi.Hazard, bool) {
+			h, err := decodeHazard(payload)
+			return h, err == nil && h.Queries() == len(g.Queries)
+		},
+		func() (*fi.Hazard, error) { return fi.BuildHazard(hm, g.Queries), nil })
 }
 
 // hazardStoreKey spells out every input the table depends on: the full
@@ -81,41 +74,6 @@ func (s *System) hazardStoreKey(b *bench.Benchmark, inputSeed int64, spec ModelS
 		return "", err
 	}
 	return fmt.Sprintf("sys=%s|%s|model=%+v", s.Fingerprint(), gk, spec.key()), nil
-}
-
-// loadHazard fetches a persisted hazard table; any miss, untrusted or
-// undecodable blob, or length mismatch against the live query stream
-// falls back to building (the store is an accelerator, never a
-// correctness dependency).
-func (s *System) loadHazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec, queries int) *fi.Hazard {
-	if s.artifacts == nil {
-		return nil
-	}
-	key, err := s.hazardStoreKey(b, inputSeed, spec)
-	if err != nil {
-		return nil
-	}
-	payload, ok, _ := s.artifacts.Get(artifact.KindHazard, key)
-	if !ok {
-		return nil
-	}
-	h, err := decodeHazard(payload)
-	if err != nil || h.Queries() != queries {
-		return nil
-	}
-	return h
-}
-
-// saveHazard persists a freshly built table; write failures are ignored.
-func (s *System) saveHazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec, h *fi.Hazard) {
-	if s.artifacts == nil {
-		return
-	}
-	key, err := s.hazardStoreKey(b, inputSeed, spec)
-	if err != nil {
-		return
-	}
-	_ = s.artifacts.Put(artifact.KindHazard, key, encodeHazard(h))
 }
 
 // encodeHazard lays a table out flat: PerOp then LogSurv, as

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/dta"
 	"repro/internal/fi"
@@ -37,9 +38,9 @@ func TestGoldenTraceStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.GoldenRecordedCount() != 1 || cold.GoldenLoadedCount() != 0 {
+	if cold.GoldenRecordedCount() != 1 || cold.goldens.Loaded() != 0 {
 		t.Fatalf("cold counters: recorded %d, loaded %d",
-			cold.GoldenRecordedCount(), cold.GoldenLoadedCount())
+			cold.GoldenRecordedCount(), cold.goldens.Loaded())
 	}
 
 	warm := newStoreTestSystem(t, st)
@@ -47,9 +48,9 @@ func TestGoldenTraceStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.GoldenRecordedCount() != 0 || warm.GoldenLoadedCount() != 1 {
+	if warm.GoldenRecordedCount() != 0 || warm.goldens.Loaded() != 1 {
 		t.Fatalf("warm counters: recorded %d, loaded %d — store was not consulted",
-			warm.GoldenRecordedCount(), warm.GoldenLoadedCount())
+			warm.GoldenRecordedCount(), warm.goldens.Loaded())
 	}
 
 	// The whole recorded execution must round-trip bit for bit: events
@@ -94,7 +95,7 @@ func TestGoldenStoreKeySeparation(t *testing.T) {
 	if _, err := s2.Golden(b, 43); err != nil {
 		t.Fatal(err)
 	}
-	if s2.GoldenLoadedCount() != 0 {
+	if s2.goldens.Loaded() != 0 {
 		t.Error("different input seed was served from the other seed's trace")
 	}
 
@@ -106,7 +107,7 @@ func TestGoldenStoreKeySeparation(t *testing.T) {
 	if _, err := s3.Golden(b, 42); err != nil {
 		t.Fatal(err)
 	}
-	if s3.GoldenLoadedCount() != 0 {
+	if s3.goldens.Loaded() != 0 {
 		t.Error("different CPU timing config was served from the other config's trace")
 	}
 
@@ -122,7 +123,7 @@ func TestGoldenStoreKeySeparation(t *testing.T) {
 	if _, err := s4.Golden(&edited, 42); err != nil {
 		t.Fatal(err)
 	}
-	if s4.GoldenLoadedCount() != 0 {
+	if s4.goldens.Loaded() != 0 {
 		t.Error("edited benchmark source was served the stale trace of the original program")
 	}
 }
@@ -143,9 +144,9 @@ func TestHazardStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.HazardBuiltCount() != 1 || cold.HazardLoadedCount() != 0 {
+	if cold.HazardBuiltCount() != 1 || cold.hazards.Loaded() != 0 {
 		t.Fatalf("cold counters: built %d, loaded %d",
-			cold.HazardBuiltCount(), cold.HazardLoadedCount())
+			cold.HazardBuiltCount(), cold.hazards.Loaded())
 	}
 	// A second lookup on the same system is a pure memory hit.
 	h1b, err := cold.Hazard(b, 42, spec)
@@ -164,9 +165,9 @@ func TestHazardStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.HazardBuiltCount() != 0 || warm.HazardLoadedCount() != 1 {
+	if warm.HazardBuiltCount() != 0 || warm.hazards.Loaded() != 1 {
 		t.Fatalf("warm counters: built %d, loaded %d — store was not consulted",
-			warm.HazardBuiltCount(), warm.HazardLoadedCount())
+			warm.HazardBuiltCount(), warm.hazards.Loaded())
 	}
 	if !reflect.DeepEqual(h1, h2) {
 		t.Error("hazard table did not round-trip bit-identically")
@@ -196,9 +197,9 @@ func TestHazardStoreRoundTrip(t *testing.T) {
 	if _, err := other.Hazard(b, 42, spec); err != nil {
 		t.Fatal(err)
 	}
-	if other.HazardLoadedCount() != 0 || other.HazardBuiltCount() != 1 {
+	if other.hazards.Loaded() != 0 || other.HazardBuiltCount() != 1 {
 		t.Errorf("changed DTA config served a stale hazard table (built %d, loaded %d)",
-			other.HazardBuiltCount(), other.HazardLoadedCount())
+			other.HazardBuiltCount(), other.hazards.Loaded())
 	}
 }
 
@@ -236,9 +237,9 @@ func TestGoldenLegacyGobPayloadRerecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.GoldenRecordedCount() != 1 || warm.GoldenLoadedCount() != 0 {
+	if warm.GoldenRecordedCount() != 1 || warm.goldens.Loaded() != 0 {
 		t.Fatalf("legacy payload not re-recorded: recorded %d, loaded %d",
-			warm.GoldenRecordedCount(), warm.GoldenLoadedCount())
+			warm.GoldenRecordedCount(), warm.goldens.Loaded())
 	}
 	if !reflect.DeepEqual(g1.Trace, g2.Trace) {
 		t.Error("re-recorded trace differs from the fresh one")
@@ -318,8 +319,8 @@ func TestMisshapedHazardBlobRebuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.HazardBuiltCount() != 1 || s.HazardLoadedCount() != 0 {
-				t.Fatalf("built %d, loaded %d: mis-shaped blob was served", s.HazardBuiltCount(), s.HazardLoadedCount())
+			if s.HazardBuiltCount() != 1 || s.hazards.Loaded() != 0 {
+				t.Fatalf("built %d, loaded %d: mis-shaped blob was served", s.HazardBuiltCount(), s.hazards.Loaded())
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("rebuilt table differs from the reference")
@@ -328,7 +329,7 @@ func TestMisshapedHazardBlobRebuilds(t *testing.T) {
 			if _, err := warm.Hazard(b, 42, spec); err != nil {
 				t.Fatal(err)
 			}
-			if warm.HazardLoadedCount() != 1 {
+			if warm.hazards.Loaded() != 1 {
 				t.Error("rebuilt table did not replace the mis-shaped blob")
 			}
 		})
@@ -393,5 +394,29 @@ func TestBenchDigestsPinned(t *testing.T) {
 				t.Errorf("BenchDigest(%s, 42) = %s, want %s", b.Name, got, want[b.Name])
 			}
 		}
+	}
+}
+
+// Golden-trace and hazard-table keys are addresses in the store, like
+// cell keys (mc's TestCellKeySpelling): a change to their spelling, or
+// to how the configs they print render, turns every warm cache cold.
+// This pins both for the default System; the program digest is
+// TestBenchDigestsPinned's.
+func TestGoldenAndHazardKeySpelling(t *testing.T) {
+	s := New(DefaultConfig())
+	const golden = "cpu={BranchPenalty:3 LoadUseStall:1 Watchdog:0}|bench=median" +
+		"|prog=81e73c3464316edbb683c0ea11a3ff74|inputSeed=42|ckpt=4096|watchdog=100000000"
+	if got, err := s.goldenStoreKey(bench.Median(), 42); err != nil || got != golden {
+		t.Errorf("golden-trace key spelling changed (%v):\n got %s\nwant %s", err, got, golden)
+	}
+	const hazard = "sys={Circuit:{Seed:28 STAFreqMHz:707 SetupPs:30 AdderGroup:8 Tightness:map[]}" +
+		" DTA:{Cycles:8192 Seed:1} Vdd:{Vt:0.3 Alpha:1.35}" +
+		" Power:{Lo:{V:0.6 UWPerMHz:10.9 LeakFrac:0.02} Hi:{V:0.7 UWPerMHz:15 LeakFrac:0.03} a:31.538461538461547 b:-0.4538461538461558}" +
+		" CPU:{BranchPenalty:3 LoadUseStall:1 Watchdog:0} NonALUSafeMHz:1150}" +
+		"|" + golden +
+		"|model={Kind:C Vdd:0.7 FreqMHz:800 Sigma:0.01 ProbA:0 Profile:3=u8; Sem:flip-bit Sampling:independent}"
+	spec := ModelSpec{Kind: "C", Vdd: 0.7, FreqMHz: 800, Sigma: 0.01, Profile: dta.Profile{circuit.UnitMul: "u8"}}
+	if got, err := s.hazardStoreKey(bench.Median(), 42, spec); err != nil || got != hazard {
+		t.Errorf("hazard-table key spelling changed (%v):\n got %s\nwant %s", err, got, hazard)
 	}
 }

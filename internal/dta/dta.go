@@ -27,13 +27,11 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/artifact"
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/isa"
-	"repro/internal/memo"
 	"repro/internal/stats"
 	"repro/internal/timing"
 )
@@ -305,11 +303,7 @@ type Characterizer struct {
 	Model timing.VddDelay
 	Cfg   Config
 
-	cache memo.Map[cacheKey, *Characterization]
-	store *artifact.Store
-
-	computed atomic.Int64 // characterizations actually simulated
-	loaded   atomic.Int64 // characterizations served from the store
+	cache artifact.Cache[cacheKey, *Characterization]
 }
 
 type cacheKey struct {
@@ -322,22 +316,25 @@ func NewCharacterizer(alu *circuit.ALU, model timing.VddDelay, cfg Config) *Char
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = DefaultConfig().Cycles
 	}
-	return &Characterizer{ALU: alu, Model: model, Cfg: cfg}
+	return &Characterizer{ALU: alu, Model: model, Cfg: cfg, cache: artifact.Cache[cacheKey, *Characterization]{
+		Kind:   artifact.KindCharacterization,
+		Encode: func(ch *Characterization) ([]byte, error) { return encodeCharacterization(ch), nil },
+	}}
 }
 
 // SetStore attaches a persistent artifact store. Must be called before
 // the first At (i.e. right after construction); characterizations are
 // then loaded from the store when present and saved to it when computed.
-func (c *Characterizer) SetStore(st *artifact.Store) { c.store = st }
+func (c *Characterizer) SetStore(st *artifact.Store) { c.cache.Store = st }
 
 // ComputedCount reports how many characterizations this characterizer
 // actually simulated (as opposed to serving from memory or the store) —
 // the warm-start assertion of the artifact cache.
-func (c *Characterizer) ComputedCount() int64 { return c.computed.Load() }
+func (c *Characterizer) ComputedCount() int64 { return c.cache.Built() }
 
 // LoadedCount reports how many characterizations were served from the
 // attached artifact store.
-func (c *Characterizer) LoadedCount() int64 { return c.loaded.Load() }
+func (c *Characterizer) LoadedCount() int64 { return c.cache.Loaded() }
 
 // At returns the characterization for a key at the given supply voltage,
 // computing it on first use. It is safe for concurrent use and distinct
@@ -347,16 +344,10 @@ func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) 
 		return nil, err
 	}
 	ck := cacheKey{key: key, mV: int(math.Round(voltage * 1000))}
-	return c.cache.Get(ck, func() (*Characterization, error) {
-		if ch, ok := c.load(key, voltage); ok {
-			c.loaded.Add(1)
-			return ch, nil
-		}
-		ch := c.run(key, voltage, runtime.GOMAXPROCS(0))
-		c.computed.Add(1)
-		c.save(ch)
-		return ch, nil
-	})
+	return c.cache.Get(ck,
+		func() (string, error) { return c.storeKey(key, voltage), nil },
+		c.decoder(key, voltage),
+		func() (*Characterization, error) { return c.run(key, voltage, runtime.GOMAXPROCS(0)), nil })
 }
 
 // storeKey spells out every input a characterization depends on: the
@@ -430,23 +421,14 @@ func decodeCharacterization(b []byte) (*Characterization, error) {
 	return ch, nil
 }
 
-// load fetches a characterization from the attached store. Any failure —
-// miss, untrusted blob, undecodable or mis-shaped payload — falls back
-// to computing; the store is an accelerator, never a correctness
-// dependency.
-func (c *Characterizer) load(key Key, voltage float64) (*Characterization, bool) {
-	if c.store == nil {
-		return nil, false
+// decoder returns the store decode of key at voltage: a payload that
+// does not decode, or decodes to a characterization that does not fit,
+// is a miss.
+func (c *Characterizer) decoder(key Key, voltage float64) func([]byte) (*Characterization, bool) {
+	return func(b []byte) (*Characterization, bool) {
+		ch, err := decodeCharacterization(b)
+		return ch, err == nil && c.fits(ch, key, voltage)
 	}
-	payload, ok, _ := c.store.Get(artifact.KindCharacterization, c.storeKey(key, voltage))
-	if !ok {
-		return nil, false
-	}
-	ch, err := decodeCharacterization(payload)
-	if err != nil || !c.fits(ch, key, voltage) {
-		return nil, false
-	}
-	return ch, true
 }
 
 // fits reports whether a decoded characterization has exactly the shape
@@ -465,15 +447,6 @@ func (c *Characterizer) fits(ch *Characterization, key Key, voltage float64) boo
 		maxPs = max(maxPs, v)
 	}
 	return ch.MaxPs == maxPs
-}
-
-// save persists a freshly computed characterization; write failures are
-// ignored (the run already has its in-memory result).
-func (c *Characterizer) save(ch *Characterization) {
-	if c.store == nil {
-		return
-	}
-	_ = c.store.Put(artifact.KindCharacterization, c.storeKey(ch.Key, ch.Voltage), encodeCharacterization(ch))
 }
 
 // ForOp resolves and characterizes the op's key under a profile.

@@ -301,14 +301,14 @@ func TestCorruptCharacterizationBlobNeverServed(t *testing.T) {
 		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if ch, ok := c.load(key, 0.7); ok {
+		if ch, ok := c.cache.Load(c.storeKey(key, 0.7), c.decoder(key, 0.7)); ok {
 			t.Fatalf("byte %d flipped: corrupt blob was a hit (same characterization: %v)", i, sameCharacterization(ch, want))
 		}
 	}
 	if err := os.WriteFile(files[0], good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ch, ok := c.load(key, 0.7); !ok || !sameCharacterization(ch, want) {
+	if ch, ok := c.cache.Load(c.storeKey(key, 0.7), c.decoder(key, 0.7)); !ok || !sameCharacterization(ch, want) {
 		t.Fatal("restored blob does not load")
 	}
 }
@@ -343,4 +343,17 @@ func FuzzDecodeCharacterization(f *testing.F) {
 			t.Fatalf("re-encoding drifted:\n %x\n %x", again, b)
 		}
 	})
+}
+
+// The characterization key is the address every stored characterization
+// lives under, so its spelling is part of the store's format: a change
+// to it, or to how the configs it prints render, turns every warm cache
+// cold. This pins it for the default configs.
+func TestCharacterizationKeySpelling(t *testing.T) {
+	c := NewCharacterizer(circuit.New(circuit.DefaultConfig()), timing.DefaultVddDelay(), DefaultConfig())
+	const want = "circuit={Seed:28 STAFreqMHz:707 SetupPs:30 AdderGroup:8 Tightness:map[]}" +
+		"|vdd={Vt:0.3 Alpha:1.35}|dta={Cycles:8192 Seed:1}|unit=3|gen=u16|mV=700"
+	if got := c.storeKey(Key{Unit: circuit.UnitMul, Gen: "u16"}, 0.7); got != want {
+		t.Errorf("characterization key spelling changed:\n got %s\nwant %s", got, want)
+	}
 }

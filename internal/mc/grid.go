@@ -153,6 +153,21 @@ func (g Grid) Cells() []Cell {
 	return cells
 }
 
+// The two hand-bumped markers at the end of every cell key. rngLaw
+// names the per-trial RNG family (xoshiro256++ streams keyed by
+// SubSeed): changing the family changes every sampled result, so cells
+// computed under the old stdlib streams must miss. qualityClass names
+// the quality-metric class: Points checkpointed before per-trial
+// quality scoring existed (no Quality* fields in the gob) would decode
+// with silently zero quality, so they must miss and be recomputed; bump
+// it whenever an extractor's definition changes. TestCellLayoutPinned
+// fails when a field of Point, Spec or core.ModelSpec changes, so that
+// such a change decides on a bump here.
+const (
+	rngLaw       = "x1"
+	qualityClass = "v1"
+)
+
 // cellKey spells out everything a cell's Point depends on: the system
 // fingerprint (netlists, DTA, Vdd-delay, CPU timing), the benchmark's
 // program content (System.BenchDigest, so editing a kernel invalidates
@@ -171,37 +186,33 @@ func cellKey(fingerprint, benchDigest string, s Spec, c Cell) string {
 	// (fixed inputs) and a watchdog budget that admits it (newBenchCtx
 	// keeps the golden trace iff WatchdogFactor >= 1). A key is a pure
 	// function of the inputs that determine the path, so it can never
-	// alias results computed under a different law. The rng=x1
-	// marker names the per-trial RNG family (xoshiro256++ streams keyed
-	// by SubSeed): changing the family changes every sampled result, so
-	// cells computed under the old stdlib streams must miss. The q=v1
-	// marker names the quality-metric class: Points checkpointed before
-	// per-trial quality scoring existed (no Quality* fields in the gob)
-	// would decode with silently zero quality, so they must miss and be
-	// recomputed; bump the class whenever an extractor's definition
-	// changes.
+	// alias results computed under a different law.
 	path := "exact"
 	if s.Mode == ModeAuto && !c.Bench.PerTrialInputs && s.WatchdogFactor >= 1 {
 		path = "firstfault"
 	}
-	return fmt.Sprintf("sys=%s|bench=%s|prog=%s|inputSeed=%d|model=%+v|trials=%d|tmin=%d|tmax=%d|z=%g|eps=%g|seed=%d|wf=%g|path=%s|rng=x1|q=v1",
+	return fmt.Sprintf("sys=%s|bench=%s|prog=%s|inputSeed=%d|model=%+v|trials=%d|tmin=%d|tmax=%d|z=%g|eps=%g|seed=%d|wf=%g|path=%s|rng=%s|q=%s",
 		fingerprint, c.Bench.Name, benchDigest, s.InputSeed, c.Model,
 		s.Trials, s.TrialsMin, s.TrialsMax, wilsonZ, correctEps,
-		s.Seed, s.WatchdogFactor, path)
+		s.Seed, s.WatchdogFactor, path, rngLaw, qualityClass)
 }
 
-// loadCell fetches a checkpointed cell Point; any untrusted blob is a
-// miss.
-func loadCell(st *artifact.Store, key string) (Point, bool) {
-	payload, ok, _ := st.Get(artifact.KindGridCell, key)
-	if !ok {
-		return Point{}, false
+// CellCache returns the artifact cache of grid cells over st: a
+// checkpointed cell is its aggregated Point as a gob payload, and any
+// blob that does not decode is a miss. Cells are not memoized in
+// memory, so only its Load and Save halves are used.
+func CellCache(st *artifact.Store) *artifact.Cache[string, Point] {
+	return &artifact.Cache[string, Point]{
+		Store:  st,
+		Kind:   artifact.KindGridCell,
+		Encode: func(pt Point) ([]byte, error) { return artifact.EncodeGob(pt) },
 	}
+}
+
+// decodeCell is the grid-cell decode of CellCache.Load.
+func decodeCell(payload []byte) (Point, bool) {
 	var pt Point
-	if err := artifact.DecodeGob(payload, &pt); err != nil {
-		return Point{}, false
-	}
-	return pt, true
+	return pt, artifact.DecodeGob(payload, &pt) == nil
 }
 
 // Run evaluates the grid. Like Sweep, an invalid operating point
@@ -239,6 +250,7 @@ func (g Grid) PlanCells() ([]PlannedCell, error) {
 	s := g.Spec.withDefaults()
 	cells := g.Cells()
 	fingerprint := s.System.Fingerprint()
+	stored := CellCache(g.Store)
 	plan := make([]PlannedCell, len(cells))
 	for i, c := range cells {
 		digest, err := s.System.BenchDigest(c.Bench, s.InputSeed)
@@ -246,8 +258,8 @@ func (g Grid) PlanCells() ([]PlannedCell, error) {
 			return nil, err
 		}
 		pc := PlannedCell{Index: i, Cell: c, Key: cellKey(fingerprint, digest, s, c)}
-		if g.Store != nil && g.Resume {
-			if pt, ok := loadCell(g.Store, pc.Key); ok {
+		if g.Resume {
+			if pt, ok := stored.Load(pc.Key, decodeCell); ok {
 				p := pt
 				pc.Point = &p
 			}
@@ -295,7 +307,7 @@ type resolvedCell struct {
 // singleflight themselves, so N racing cells never duplicate a build.
 type resolver struct {
 	s           Spec
-	store       *artifact.Store
+	cells       *artifact.Cache[string, Point]
 	resume      bool
 	fingerprint string
 
@@ -303,7 +315,7 @@ type resolver struct {
 }
 
 func newResolver(s Spec, g Grid) *resolver {
-	r := &resolver{s: s, store: g.Store, resume: g.Resume}
+	r := &resolver{s: s, cells: CellCache(g.Store), resume: g.Resume}
 	if g.Store != nil {
 		r.fingerprint = s.System.Fingerprint()
 	}
@@ -325,14 +337,14 @@ func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
 // grid yields exactly what serial resolution would have.
 func (r *resolver) resolve(c Cell) resolvedCell {
 	var key string
-	if r.store != nil {
+	if r.cells.Store != nil {
 		digest, err := r.s.System.BenchDigest(c.Bench, r.s.InputSeed)
 		if err != nil {
 			return resolvedCell{err: err}
 		}
 		key = cellKey(r.fingerprint, digest, r.s, c)
 		if r.resume {
-			if pt, ok := loadCell(r.store, key); ok {
+			if pt, ok := r.cells.Load(key, decodeCell); ok {
 				return resolvedCell{cached: true, pt: pt}
 			}
 		}

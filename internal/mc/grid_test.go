@@ -257,7 +257,7 @@ func TestCorruptCellBlobNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt, ok := loadCell(st, plan[0].Key); !ok || !reflect.DeepEqual(pt, first[0].Point) {
+	if pt, ok := CellCache(st).Load(plan[0].Key, decodeCell); !ok || !reflect.DeepEqual(pt, first[0].Point) {
 		t.Fatal("intact blob does not load the computed Point")
 	}
 	for i := range good {
@@ -266,7 +266,7 @@ func TestCorruptCellBlobNeverServed(t *testing.T) {
 		if err := os.WriteFile(files[0], bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if pt, ok := loadCell(st, plan[0].Key); ok {
+		if pt, ok := CellCache(st).Load(plan[0].Key, decodeCell); ok {
 			t.Fatalf("byte %d of %d flipped: hit (same Point: %v)", i, len(good), reflect.DeepEqual(pt, first[0].Point))
 		}
 	}
@@ -334,9 +334,8 @@ func TestWarmStartSkipsCharacterizationAndRecording(t *testing.T) {
 	if n := warm.HazardBuiltCount(); n != 0 {
 		t.Errorf("warm run rebuilt %d hazard tables, want 0", n)
 	}
-	if warm.Char.LoadedCount() == 0 || warm.GoldenLoadedCount() == 0 || warm.HazardLoadedCount() == 0 {
-		t.Errorf("warm run did not load from the store (char %d, golden %d, hazard %d)",
-			warm.Char.LoadedCount(), warm.GoldenLoadedCount(), warm.HazardLoadedCount())
+	if sum := warm.CacheSummary(); strings.Contains(sum, " 0 loaded") {
+		t.Errorf("warm run did not load every kind from the store: %s", sum)
 	}
 	if !reflect.DeepEqual(coldPts, warmPts) {
 		t.Errorf("warm-start points drifted:\n%+v\n%+v", coldPts, warmPts)

@@ -406,7 +406,7 @@ type workItem struct {
 // done.
 type engine struct {
 	s     Spec
-	store *artifact.Store // nil when cells are not checkpointed
+	cells *artifact.Cache[string, Point] // closed cells checkpoint here
 
 	maxTrials int // per-point result capacity (adaptive ceiling)
 	initial   int // per-point initial target (first batch)
@@ -422,7 +422,7 @@ type engine struct {
 }
 
 func newEngine(s Spec, store *artifact.Store) *engine {
-	e := &engine{s: s, store: store, maxTrials: s.Trials, initial: s.Trials}
+	e := &engine{s: s, cells: CellCache(store), maxTrials: s.Trials, initial: s.Trials}
 	e.cond = sync.NewCond(&e.mu)
 	if s.adaptive() {
 		e.maxTrials = s.TrialsMax
@@ -581,15 +581,13 @@ func (e *engine) complete(p *pointState, ti int, r trialResult) {
 		})
 	}
 	e.mu.Unlock()
-	if closed && e.store != nil && p.key != "" {
+	if closed && e.cells.Store != nil && p.key != "" {
 		// The results prefix is immutable once the point is done, so the
 		// write can happen outside the lock. Checkpointing is best-effort:
 		// a failed write costs a recomputation on resume, never
 		// correctness.
 		if pt, err := aggregate(p.cell.Model.FreqMHz, p.results[:p.target]); err == nil {
-			if payload, err := artifact.EncodeGob(pt); err == nil {
-				_ = e.store.Put(artifact.KindGridCell, p.key, payload)
-			}
+			e.cells.Save(p.key, pt)
 		}
 	}
 }
