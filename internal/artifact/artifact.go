@@ -1,7 +1,8 @@
 // Package artifact is the persistent on-disk cache of everything in the
 // stack that is expensive to compute and cheap to replay: DTA
-// characterizations, golden traces with their checkpoints, hazard
-// tables and completed Monte-Carlo grid cells. The store is
+// characterizations and the violation grids model C reads off them,
+// golden traces with their checkpoints, hazard tables and completed
+// Monte-Carlo grid cells. The store is
 // content-addressed by a caller-supplied key string that must spell out
 // every input the artifact depends on (configuration fingerprints,
 // seeds, operating point); the file name is the SHA-256 of (kind, key),
@@ -49,6 +50,7 @@ const Version = 2
 // space so a characterization key can never alias a trace key.
 const (
 	KindCharacterization = "dta-characterization"
+	KindViolationGrid    = "dta-violation-grid"
 	KindGoldenTrace      = "golden-trace"
 	KindGridCell         = "grid-cell"
 	KindHazard           = "hazard-table"

@@ -135,8 +135,9 @@ func (s *System) ModelsBuiltCount() int64 { return s.modelsBuilt.Load() }
 // CacheSummary renders one line of artifact-cache traffic, for the CLI
 // tools' stderr diagnostics (and the CI warm-start assertion).
 func (s *System) CacheSummary() string {
-	return fmt.Sprintf("characterizations: %d computed, %d loaded; goldens: %d recorded, %d loaded; hazards: %d built, %d loaded; models: %d built",
+	return fmt.Sprintf("characterizations: %d computed, %d loaded; grids: %d built, %d loaded; goldens: %d recorded, %d loaded; hazards: %d built, %d loaded; models: %d built",
 		s.Char.ComputedCount(), s.Char.LoadedCount(),
+		s.Char.GridsBuilt(), s.Char.GridsLoaded(),
 		s.goldens.Built(), s.goldens.Loaded(),
 		s.hazards.Built(), s.hazards.Loaded(),
 		s.modelsBuilt.Load())

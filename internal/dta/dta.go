@@ -132,11 +132,6 @@ type Characterization struct {
 	SetupPs float64
 	// MaxPs is the largest arrival observed anywhere.
 	MaxPs float64
-
-	grid struct {
-		once sync.Once
-		g    *ViolationGrid
-	}
 }
 
 // newCharacterization allocates a characterization whose arrival rows
@@ -181,7 +176,8 @@ func (c *Characterization) OnsetMHz() float64 {
 // lookup table of model C's per-cycle injector and of its hazard math.
 // It depends on the characterization alone, so one grid serves every
 // model-C operating point (frequency, noise, semantics, sampling) at
-// the characterization's key and voltage. It is immutable once built.
+// the characterization's key and voltage. It is immutable once built;
+// Characterizer.GridAt builds, loads and shares it.
 type ViolationGrid struct {
 	// StepPs is the grid resolution; grid index i is the effective
 	// period i*StepPs.
@@ -200,6 +196,11 @@ type ViolationGrid struct {
 	// Rows[i*len(Active)+k] is the violation probability of Active[k]
 	// at grid index i, so one query reads one contiguous row.
 	Rows []float64
+
+	// cycles is the characterization's cycle count, the denominator of
+	// every probability: Rows[j]*cycles is Rows[j]'s violation count,
+	// which is what the store persists.
+	cycles int
 }
 
 // Row returns grid index i's violation probabilities, one per active
@@ -209,12 +210,8 @@ func (g *ViolationGrid) Row(i int) []float64 {
 	return g.Rows[i*na : (i+1)*na : (i+1)*na]
 }
 
-// Grid returns the characterization's violation grid, building it on
-// first use. It is safe for concurrent use.
-func (c *Characterization) Grid() *ViolationGrid {
-	c.grid.once.Do(func() { c.grid.g = newViolationGrid(c) })
-	return c.grid.g
-}
+// gridStepPs is the resolution of every violation grid.
+const gridStepPs = 1.0
 
 // newViolationGrid counts the grid from the arrivals, without sorting.
 // An arrival a violates at grid index i exactly when
@@ -222,11 +219,12 @@ func (c *Characterization) Grid() *ViolationGrid {
 // ViolationProb makes; the right-hand side never falls as i grows, so
 // a violates on a prefix [0, k) of the grid. Histogramming each
 // arrival's k and taking suffix sums gives every index's violation
-// count, and count/cycles is bit-for-bit the CDF's probability.
+// count, and finish turns count/cycles into bit-for-bit the CDF's
+// probability.
 func newViolationGrid(c *Characterization) *ViolationGrid {
-	const step = 1.0
+	const step = gridStepPs
 	setup := c.SetupPs
-	g := &ViolationGrid{MaxPs: c.MaxPs + setup, StepPs: step}
+	g := &ViolationGrid{MaxPs: c.MaxPs + setup, StepPs: step, cycles: c.Cycles}
 	n := int(math.Ceil(g.MaxPs/step)) + 2
 	last := float64(n-1)*step - setup
 
@@ -238,7 +236,7 @@ func newViolationGrid(c *Characterization) *ViolationGrid {
 		}
 	}
 	na := len(g.Active)
-	g.Rows = make([]float64, n*na)
+	counts := make([]uint32, n*na)
 	hist := make([]int, n+1)
 	for j, e := range g.Active {
 		row := c.Arrivals[e]
@@ -267,8 +265,22 @@ func newViolationGrid(c *Characterization) *ViolationGrid {
 		count := 0
 		for i := n - 1; i >= 0; i-- {
 			count += hist[i+1]
-			g.Rows[i*na+j] = float64(count) / float64(len(row))
+			counts[i*na+j] = uint32(count)
 		}
+	}
+	g.finish(counts, n)
+	return g
+}
+
+// finish fills a grid of n points from its violation counts, in Rows
+// order: every probability as its count over the cycles, and PNone as
+// the product of the complements along each row. The builder and the
+// store decode both end here, so a loaded grid is bit-identical to a
+// built one by construction.
+func (g *ViolationGrid) finish(counts []uint32, n int) {
+	g.Rows = make([]float64, len(counts))
+	for j, count := range counts {
+		g.Rows[j] = float64(count) / float64(g.cycles)
 	}
 	g.PNone = make([]float64, n)
 	for i := range g.PNone {
@@ -278,7 +290,93 @@ func newViolationGrid(c *Characterization) *ViolationGrid {
 		}
 		g.PNone[i] = pN
 	}
-	return g
+}
+
+// gridMagic prefixes a persisted violation grid.
+const gridMagic = "FGRD1"
+
+// maxGridPoints bounds the grid length a decode accepts: a microsecond
+// of effective period at 1 ps. A longer grid (a supply a few millivolts
+// above threshold) is always rebuilt rather than loaded.
+const maxGridPoints = 1 << 20
+
+// encodeViolationGrid lays a grid out flat, little-endian: the magic,
+// the cycle, grid point and active endpoint counts (uint32), StepPs and
+// MaxPs (float64 bits), the active endpoints (uint32 each), then the
+// violation counts (uint32 each) in Rows order. Rows and PNone are not
+// stored; finish derives them. Each count is recovered from its
+// probability by rounding: p = fl(count/cycles) is within a relative
+// 2^-53 of the quotient, so p*cycles lies within far less than 0.5 of
+// the count for any uint32 count.
+func encodeViolationGrid(g *ViolationGrid) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 0, len(gridMagic)+28+4*(len(g.Active)+len(g.Rows)))
+	b = append(b, gridMagic...)
+	b = le.AppendUint32(b, uint32(g.cycles))
+	b = le.AppendUint32(b, uint32(len(g.PNone)))
+	b = le.AppendUint32(b, uint32(len(g.Active)))
+	b = artifact.AppendFloat64s(b, []float64{g.StepPs, g.MaxPs})
+	for _, e := range g.Active {
+		b = le.AppendUint32(b, uint32(e))
+	}
+	for _, p := range g.Rows {
+		b = le.AppendUint32(b, uint32(math.Round(p*float64(g.cycles))))
+	}
+	return b
+}
+
+// decodeViolationGrid parses a blob written by encodeViolationGrid and
+// finishes the grid. A blob is an error unless it is exactly a header,
+// the active endpoints and one count per (grid point, active endpoint);
+// its grid length is the one newViolationGrid gives MaxPs (at most
+// maxGridPoints); Active is strictly ascending (gridDecoder bounds it
+// by the unit's endpoints); and every count is at most the cycles,
+// never rises along the grid, and is nonzero at grid index 0 (an
+// endpoint that never violates is not active).
+func decodeViolationGrid(b []byte) (*ViolationGrid, error) {
+	le := binary.LittleEndian
+	rest, ok := bytes.CutPrefix(b, []byte(gridMagic))
+	if !ok {
+		return nil, errors.New("dta: not a violation grid")
+	}
+	if len(rest) < 28 {
+		return nil, errors.New("dta: truncated violation grid header")
+	}
+	cycles, points, active := le.Uint32(rest), le.Uint32(rest[4:]), le.Uint32(rest[8:])
+	var scalars [2]float64 // StepPs, MaxPs
+	artifact.ReadFloat64s(scalars[:], rest[12:])
+	rest = rest[28:]
+	if active > circuit.NumEndpoints || points > maxGridPoints || uint64(len(rest)) != 4*uint64(active)*(1+uint64(points)) {
+		return nil, fmt.Errorf("dta: %d bytes for %d active endpoints × %d grid points", len(rest), active, points)
+	}
+	n, na := int(points), int(active)
+	step, maxPs := scalars[0], scalars[1]
+	if !(step > 0) || math.Ceil(maxPs/step)+2 != float64(n) {
+		return nil, fmt.Errorf("dta: %d grid points for MaxPs %v at step %v", n, maxPs, step)
+	}
+	g := &ViolationGrid{StepPs: step, MaxPs: maxPs, cycles: int(cycles), Active: make([]int, na)}
+	for k := range g.Active {
+		g.Active[k] = int(le.Uint32(rest[4*k:]))
+		if k > 0 && g.Active[k] <= g.Active[k-1] {
+			return nil, fmt.Errorf("dta: active endpoints %v not ascending", g.Active[:k+1])
+		}
+	}
+	rest = rest[4*na:]
+	counts := make([]uint32, n*na)
+	for j := range counts {
+		count := le.Uint32(rest[4*j:])
+		switch {
+		case count > cycles:
+			return nil, fmt.Errorf("dta: %d violating cycles of %d", count, cycles)
+		case j < na && count == 0:
+			return nil, fmt.Errorf("dta: active endpoint %d never violates", g.Active[j])
+		case j >= na && count > counts[j-na]:
+			return nil, errors.New("dta: violation count rises along the grid")
+		}
+		counts[j] = count
+	}
+	g.finish(counts, n)
+	return g, nil
 }
 
 // Config parameterizes a Characterizer.
@@ -293,17 +391,19 @@ type Config struct {
 // DefaultConfig returns the paper's characterization parameters.
 func DefaultConfig() Config { return Config{Cycles: 8192, Seed: 1} }
 
-// Characterizer runs and caches DTA characterizations for one ALU.
-// Beyond the in-memory cache, an attached artifact.Store persists
-// characterizations across processes: At consults the store before
-// simulating, so a warm cache directory turns the most expensive phase
-// of a cold run into a file read.
+// Characterizer runs and caches DTA characterizations for one ALU, and
+// the violation grids model C reads off them. Beyond the in-memory
+// caches, an attached artifact.Store persists both across processes: At
+// and GridAt consult the store before computing, so a warm cache
+// directory turns the most expensive phase of a cold run into a file
+// read, and a warm model C reads only grids.
 type Characterizer struct {
 	ALU   *circuit.ALU
 	Model timing.VddDelay
 	Cfg   Config
 
 	cache artifact.Cache[cacheKey, *Characterization]
+	grids artifact.Cache[cacheKey, *ViolationGrid]
 }
 
 type cacheKey struct {
@@ -311,21 +411,27 @@ type cacheKey struct {
 	mV  int // voltage in millivolts
 }
 
+// millivolts is the supply coordinate of every cache and store key.
+func millivolts(voltage float64) int { return int(math.Round(voltage * 1000)) }
+
 // NewCharacterizer returns a characterizer over the given ALU.
 func NewCharacterizer(alu *circuit.ALU, model timing.VddDelay, cfg Config) *Characterizer {
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = DefaultConfig().Cycles
 	}
-	return &Characterizer{ALU: alu, Model: model, Cfg: cfg, cache: artifact.Cache[cacheKey, *Characterization]{
-		Kind:   artifact.KindCharacterization,
-		Encode: func(ch *Characterization) ([]byte, error) { return encodeCharacterization(ch), nil },
-	}}
+	c := &Characterizer{ALU: alu, Model: model, Cfg: cfg}
+	c.cache.Kind = artifact.KindCharacterization
+	c.cache.Encode = func(ch *Characterization) ([]byte, error) { return encodeCharacterization(ch), nil }
+	c.grids.Kind = artifact.KindViolationGrid
+	c.grids.Encode = func(g *ViolationGrid) ([]byte, error) { return encodeViolationGrid(g), nil }
+	return c
 }
 
 // SetStore attaches a persistent artifact store. Must be called before
-// the first At (i.e. right after construction); characterizations are
-// then loaded from the store when present and saved to it when computed.
-func (c *Characterizer) SetStore(st *artifact.Store) { c.cache.Store = st }
+// the first At or GridAt (i.e. right after construction);
+// characterizations and grids are then loaded from the store when
+// present and saved to it when computed.
+func (c *Characterizer) SetStore(st *artifact.Store) { c.cache.Store, c.grids.Store = st, st }
 
 // ComputedCount reports how many characterizations this characterizer
 // actually simulated (as opposed to serving from memory or the store) —
@@ -336,18 +442,53 @@ func (c *Characterizer) ComputedCount() int64 { return c.cache.Built() }
 // attached artifact store.
 func (c *Characterizer) LoadedCount() int64 { return c.cache.Loaded() }
 
+// GridsBuilt reports how many violation grids this characterizer
+// counted from a characterization, loaded or simulated.
+func (c *Characterizer) GridsBuilt() int64 { return c.grids.Built() }
+
+// GridsLoaded reports how many violation grids were served from the
+// attached artifact store.
+func (c *Characterizer) GridsLoaded() int64 { return c.grids.Loaded() }
+
 // At returns the characterization for a key at the given supply voltage,
 // computing it on first use. It is safe for concurrent use and distinct
-// keys characterize in parallel.
+// keys characterize in parallel. The supply is rounded to the millivolt
+// first: the memo key, the store key, the operand seed and the
+// simulation all see the same voltage, so no answer depends on which
+// nearby supply asked first.
 func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) {
 	if _, err := Gen(key.Gen); err != nil {
 		return nil, err
 	}
-	ck := cacheKey{key: key, mV: int(math.Round(voltage * 1000))}
-	return c.cache.Get(ck,
-		func() (string, error) { return c.storeKey(key, voltage), nil },
-		c.decoder(key, voltage),
-		func() (*Characterization, error) { return c.run(key, voltage, runtime.GOMAXPROCS(0)), nil })
+	mV := millivolts(voltage)
+	v := float64(mV) / 1000
+	return c.cache.Get(cacheKey{key: key, mV: mV},
+		func() (string, error) { return c.storeKey(key, v), nil },
+		c.decoder(key, v),
+		func() (*Characterization, error) { return c.run(key, v, runtime.GOMAXPROCS(0)), nil })
+}
+
+// GridAt returns the violation grid of key at the given supply voltage
+// (rounded to the millivolt, as At does), one per characterizer however
+// many models and goroutines ask. A grid in the store is the answer
+// without touching the characterization; otherwise it is counted from
+// At's characterization, loaded or simulated, and saved.
+func (c *Characterizer) GridAt(key Key, voltage float64) (*ViolationGrid, error) {
+	if _, err := Gen(key.Gen); err != nil {
+		return nil, err
+	}
+	mV := millivolts(voltage)
+	v := float64(mV) / 1000
+	return c.grids.Get(cacheKey{key: key, mV: mV},
+		func() (string, error) { return c.gridStoreKey(key, v), nil },
+		c.gridDecoder(key),
+		func() (*ViolationGrid, error) {
+			ch, err := c.At(key, v)
+			if err != nil {
+				return nil, err
+			}
+			return newViolationGrid(ch), nil
+		})
 }
 
 // storeKey spells out every input a characterization depends on: the
@@ -358,8 +499,13 @@ func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) 
 // canonical.
 func (c *Characterizer) storeKey(key Key, voltage float64) string {
 	return fmt.Sprintf("circuit=%+v|vdd=%+v|dta=%+v|unit=%d|gen=%s|mV=%d",
-		c.ALU.Config, c.Model, c.Cfg, key.Unit, key.Gen,
-		int(math.Round(voltage*1000)))
+		c.ALU.Config, c.Model, c.Cfg, key.Unit, key.Gen, millivolts(voltage))
+}
+
+// gridStoreKey is the characterization's store key plus the grid step:
+// a grid depends on nothing else.
+func (c *Characterizer) gridStoreKey(key Key, voltage float64) string {
+	return fmt.Sprintf("%s|stepPs=%g", c.storeKey(key, voltage), gridStepPs)
 }
 
 // charMagic prefixes a persisted characterization.
@@ -438,7 +584,7 @@ func (c *Characterizer) decoder(key Key, voltage float64) func([]byte) (*Charact
 // MaxPerCycle. A blob that decodes but does not fit is a miss, never a
 // wrong answer.
 func (c *Characterizer) fits(ch *Characterization, key Key, voltage float64) bool {
-	if ch.Key != key || int(math.Round(ch.Voltage*1000)) != int(math.Round(voltage*1000)) ||
+	if ch.Key != key || millivolts(ch.Voltage) != millivolts(voltage) ||
 		ch.Cycles != c.Cfg.Cycles || len(ch.Arrivals) != numEndpoints(c.ALU.Units[key.Unit]) {
 		return false
 	}
@@ -447,6 +593,21 @@ func (c *Characterizer) fits(ch *Characterization, key Key, voltage float64) boo
 		maxPs = max(maxPs, v)
 	}
 	return ch.MaxPs == maxPs
+}
+
+// gridDecoder returns the store decode of key's violation grid: a
+// payload that does not decode, or decodes to a grid another config or
+// unit would count (cycles, step, an endpoint the unit lacks), is a
+// miss.
+func (c *Characterizer) gridDecoder(key Key) func([]byte) (*ViolationGrid, bool) {
+	return func(b []byte) (*ViolationGrid, bool) {
+		g, err := decodeViolationGrid(b)
+		if err != nil || g.cycles != c.Cfg.Cycles || g.StepPs != gridStepPs {
+			return nil, false
+		}
+		na := len(g.Active)
+		return g, na == 0 || g.Active[na-1] < numEndpoints(c.ALU.Units[key.Unit])
+	}
 }
 
 // ForOp resolves and characterizes the op's key under a profile.
@@ -477,7 +638,7 @@ func (c *Characterizer) run(key Key, voltage float64, shards int) *Characterizat
 	// state; pair c+1 is applied in cycle c.
 	seed := c.Cfg.Seed
 	seed = stats.SubSeed(seed, int(key.Unit)*1000+ck32(key.Gen))
-	seed = stats.SubSeed(seed, int(math.Round(voltage*1000)))
+	seed = stats.SubSeed(seed, millivolts(voltage))
 	rng := stats.NewRand(seed)
 	ops := make([][2]uint32, cycles+1)
 	for i := range ops {

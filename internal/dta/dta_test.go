@@ -258,20 +258,21 @@ func TestMaxPerCycleConsistent(t *testing.T) {
 // TestViolationGridLayout pins the shared grid's layout: Active
 // ascending, one Rows entry per (grid index, active endpoint), every
 // value bit-identical to the CDF-based reference grid, and concurrent
-// first uses all get the one grid.
+// first uses of the characterizer's grid cache all get the one grid.
 func TestViolationGridLayout(t *testing.T) {
-	c := fixture()
-	ch, err := c.ForOp(isa.OpSfgts, nil, 0.7) // flagged unit: 33 endpoints
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A characterizer of its own counts only this test's grid builds.
+	c := NewCharacterizer(fixture().ALU, fixture().Model, fixture().Cfg)
+	key := KeyFor(isa.OpSfgts, nil) // flagged unit: 33 endpoints
 	grids := make([]*ViolationGrid, 8)
 	var wg sync.WaitGroup
 	for i := range grids {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			grids[i] = ch.Grid()
+			var err error
+			if grids[i], err = c.GridAt(key, 0.7); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -280,6 +281,13 @@ func TestViolationGridLayout(t *testing.T) {
 		if o != g {
 			t.Fatal("concurrent first uses built more than one grid")
 		}
+	}
+	if n := c.GridsBuilt(); n != 1 {
+		t.Fatalf("%d grids built, want 1", n)
+	}
+	ch, err := c.At(key, 0.7)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if g.MaxPs != ch.MaxPs+ch.SetupPs || len(g.Rows) != len(g.PNone)*len(g.Active) {
 		t.Fatalf("grid shape: MaxPs %v, %d rows over %d points × %d active", g.MaxPs, len(g.Rows), len(g.PNone), len(g.Active))

@@ -628,9 +628,9 @@ type opTable struct {
 	key  dta.Key
 	fill sync.Once
 
-	ch  *dta.Characterization
-	g   *dta.ViolationGrid
-	nEP int
+	g *dta.ViolationGrid
+	// ch is the raw characterization, loaded for joint sampling only.
+	ch *dta.Characterization
 	// dvSafe is the noise offset at and above which a query cannot
 	// inject at this model's period (noiseScale.rejectFrom).
 	dvSafe float64
@@ -692,8 +692,8 @@ func (t *opTable) violCycles(eff float64) int {
 // violation set at the effective period — the joint-sampling capture
 // law, shared by Inject and SampleAt.
 func (t *opTable) violationsAtCycle(j int, eff float64) (viol uint32, flagViol bool) {
-	for e := 0; e < t.nEP; e++ {
-		if t.ch.Arrivals[e][j]+t.ch.SetupPs > eff {
+	for e, row := range t.ch.Arrivals {
+		if row[j]+t.ch.SetupPs > eff {
 			if e == circuit.FlagEndpoint {
 				flagViol = true
 			} else {
@@ -811,19 +811,23 @@ func (m *ModelC) table(op isa.Op) *opTable {
 	return m.tables[op]
 }
 
-// fillTable characterizes (or loads) op's key at the model's voltage,
-// once per table however many goroutines and ops ask at the same time,
-// then publishes the table for op.
+// fillTable loads (or builds) op's violation grid at the model's
+// voltage, once per table however many goroutines and ops ask at the
+// same time, then publishes the table for op. Only joint sampling reads
+// the raw characterization; independent sampling never loads it.
 func (m *ModelC) fillTable(op isa.Op) {
 	t := m.tables[op]
 	t.fill.Do(func() {
-		c, err := m.char.At(t.key, m.vdd)
+		g, err := m.char.GridAt(t.key, m.vdd)
+		if err == nil && m.sampling == Joint {
+			t.ch, err = m.char.At(t.key, m.vdd)
+		}
 		if err != nil {
-			// At fails only on an unknown generator, which NewModelC
-			// rejects.
+			// GridAt and At fail only on an unknown generator, which
+			// NewModelC rejects.
 			panic("fi: model C table: " + err.Error())
 		}
-		t.ch, t.g, t.nEP = c, c.Grid(), c.NumEndpoints()
+		t.g = g
 		t.dvSafe = m.noise.rejectFrom(m.periodPs, t.g.MaxPs)
 	})
 	m.filled[op].Store(true)

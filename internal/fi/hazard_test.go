@@ -256,7 +256,7 @@ func TestModelCRejectionLoopBounded(t *testing.T) {
 		periodPs: circuit.PeriodPs(700),
 		noise:    newNoiseScale(timing.DefaultVddDelay(), 0.7, timing.NewNoise(0)),
 	}
-	m.tables[isa.OpAdd] = &opTable{g: g, nEP: circuit.Width, dvSafe: math.Inf(1)}
+	m.tables[isa.OpAdd] = &opTable{g: g, dvSafe: math.Inf(1)}
 	m.filled[isa.OpAdd].Store(true) // hand-filled: the accessor must not characterize
 	rng := stats.NewTrial(47)
 	out, _, flips := m.NewTrial(rng).Inject(isa.OpAdd, 0xffffffff, 0, false, false)

@@ -304,11 +304,11 @@ func TestModelCSharesGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range aluOps() {
-		c, err := ch.ForOp(op, nil, 0.7)
+		g, err := ch.GridAt(dta.KeyFor(op, nil), 0.7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.table(op).g != c.Grid() || b.table(op).g != c.Grid() {
+		if a.table(op).g != g || b.table(op).g != g {
 			t.Fatalf("op %v: models hold private grids", op)
 		}
 	}

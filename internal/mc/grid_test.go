@@ -282,7 +282,8 @@ func TestCorruptCellBlobNeverServed(t *testing.T) {
 
 // End-to-end warm start: a second process (modelled by a fresh System)
 // over a populated cache directory must skip DTA characterization and
-// golden-trace recording entirely and produce bit-identical points.
+// golden-trace recording entirely, load violation grids instead of raw
+// characterizations, and produce bit-identical points.
 func TestWarmStartSkipsCharacterizationAndRecording(t *testing.T) {
 	dir := t.TempDir()
 	newSys := func() *core.System {
@@ -334,8 +335,11 @@ func TestWarmStartSkipsCharacterizationAndRecording(t *testing.T) {
 	if n := warm.HazardBuiltCount(); n != 0 {
 		t.Errorf("warm run rebuilt %d hazard tables, want 0", n)
 	}
-	if sum := warm.CacheSummary(); strings.Contains(sum, " 0 loaded") {
-		t.Errorf("warm run did not load every kind from the store: %s", sum)
+	if n := warm.Char.LoadedCount(); n != 0 {
+		t.Errorf("warm run read %d raw characterizations, want 0: model C reads only grids", n)
+	}
+	if _, rest, _ := strings.Cut(warm.CacheSummary(), "; "); strings.Contains(rest, " 0 loaded") {
+		t.Errorf("warm run did not load every other kind from the store: %s", rest)
 	}
 	if !reflect.DeepEqual(coldPts, warmPts) {
 		t.Errorf("warm-start points drifted:\n%+v\n%+v", coldPts, warmPts)
