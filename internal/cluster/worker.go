@@ -174,7 +174,6 @@ type leaseStream struct {
 
 	lastProgress                 time.Time
 	settledTrials, settledPoints int
-	curTrials, curPoints         int
 }
 
 // progress relays one engine snapshot (scoped to the cell currently
@@ -185,7 +184,6 @@ func (s *leaseStream) progress(p mc.Progress) {
 	if s.enc == nil {
 		return // headers not committed yet (plan phase)
 	}
-	s.curTrials, s.curPoints = p.DoneTrials, p.DonePoints
 	now := time.Now()
 	if now.Sub(s.lastProgress) < progressInterval {
 		return
@@ -205,7 +203,6 @@ func (s *leaseStream) cell(ev LeaseEvent) {
 	defer s.mu.Unlock()
 	s.settledTrials += ev.Point.Trials
 	s.settledPoints++
-	s.curTrials, s.curPoints = 0, 0
 	s.writeLocked(ev)
 }
 

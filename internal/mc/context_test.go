@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dta"
 	"repro/internal/leaktest"
 )
 
@@ -74,12 +75,14 @@ func TestRunContextCancelAborts(t *testing.T) {
 }
 
 // TestCancelBeforeSealIsNotWhole pins the engine side of a cancel that
-// lands while the resolver is still streaming cells: with the stream
-// unsealed, an aborted pool must report the cancellation even though
-// no streamed point is open. Treating that as a whole grid handed the
-// committer's late cells back as success with zero Points.
+// lands while cells are still being resolved: with the stream unsealed
+// (its one cell never committed), an aborted pool must report the
+// cancellation even though no committed point is open. Treating that
+// as a whole grid would hand the uncommitted cells back as success with
+// zero Points.
 func TestCancelBeforeSealIsNotWhole(t *testing.T) {
-	e := newEngine(Spec{System: system(), Bench: bench.Median(), Trials: 4}.withDefaults(), nil)
+	e := newEngine(Spec{System: system(), Bench: bench.Median(), Trials: 4}.withDefaults(), nil,
+		[]Cell{{Bench: bench.Median()}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if pts, err := e.run(ctx); !errors.Is(err, context.Canceled) {
@@ -199,8 +202,8 @@ func TestModeAliasesKeepPointsAndKeys(t *testing.T) {
 
 // TestGridRunLeaksNoGoroutines cancels a full-execution grid mid-run
 // and runs a grid that ends on an invalid cell under a live context
-// (which arms the engine's context watcher); neither may leave a
-// goroutine behind.
+// (which registers the engine's cancellation callback); neither may
+// leave a goroutine behind.
 func TestGridRunLeaksNoGoroutines(t *testing.T) {
 	spec := Spec{
 		System: system(),
@@ -234,6 +237,38 @@ func TestGridRunLeaksNoGoroutines(t *testing.T) {
 	cells, err := (Grid{Spec: spec, Axes: Axes{Vdds: []float64{0.7, 0.3}, Freqs: []float64{700, 720}}}).RunContext(live)
 	if err == nil || len(cells) != 2 {
 		t.Fatalf("invalid-cell grid: %d cells, err=%v; want the 2-cell prefix and an error", len(cells), err)
+	}
+	leaktest.Settles(t, base)
+}
+
+// TestCancelColdGridWhileResolving cancels a grid on a fresh System from
+// its first progress callback, while the second benchmark's cells are
+// typically still resolving (cold golden recording, DTA and hazard
+// builds): the run must report the cancellation with no cells, and
+// every resolver and trial worker must have exited, including a
+// resolver that was mid-build when the cancel landed.
+func TestCancelColdGridWhileResolving(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.DTA = dta.Config{Cycles: 512, Seed: 5}
+	spec := Spec{
+		System: core.New(cfg),
+		Bench:  bench.Median(),
+		Model:  core.ModelSpec{Kind: "C", Vdd: 0.7, Sigma: 0.010},
+		Trials: 200,
+		Seed:   1,
+	}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	spec.Progress = func(Progress) { once.Do(cancel) }
+	grid := Grid{Spec: spec, Axes: Axes{
+		Benches: []*bench.Benchmark{bench.Median(), bench.MatMult8()},
+		Freqs:   []float64{700, 750},
+	}}
+	cells, err := grid.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) || cells != nil {
+		t.Fatalf("cancelled cold grid: %d cells, err=%v; want no cells and context.Canceled", len(cells), err)
 	}
 	leaktest.Settles(t, base)
 }

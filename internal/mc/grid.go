@@ -8,7 +8,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/bench"
@@ -181,14 +180,11 @@ const (
 // operand profile) print in sorted key order, so the string is
 // canonical.
 func cellKey(fingerprint, benchDigest string, s Spec, c Cell) string {
-	// The firstfault class matches exactly when batched first-fault
-	// sampling will serve the cell: ModeAuto, a shared golden run
-	// (fixed inputs) and a watchdog budget that admits it (newBenchCtx
-	// keeps the golden trace iff WatchdogFactor >= 1). A key is a pure
-	// function of the inputs that determine the path, so it can never
-	// alias results computed under a different law.
+	// The firstfault class is the engine's own path decision
+	// (Spec.batchedFor), so a key can never name a path the cell did
+	// not run, nor alias results computed under a different law.
 	path := "exact"
-	if s.Mode == ModeAuto && !c.Bench.PerTrialInputs && s.WatchdogFactor >= 1 {
+	if s.batchedFor(c.Bench) {
 		path = "firstfault"
 	}
 	return fmt.Sprintf("sys=%s|bench=%s|prog=%s|inputSeed=%d|model=%+v|trials=%d|tmin=%d|tmax=%d|z=%g|eps=%g|seed=%d|wf=%g|path=%s|rng=%s|q=%s",
@@ -247,24 +243,15 @@ type PlannedCell struct {
 // Planning touches no model, golden or hazard cache; it is cheap enough
 // to run on a coordinator that never executes a trial.
 func (g Grid) PlanCells() ([]PlannedCell, error) {
-	s := g.Spec.withDefaults()
+	r := newResolver(g.Spec.withDefaults(), g)
 	cells := g.Cells()
-	fingerprint := s.System.Fingerprint()
-	stored := CellCache(g.Store)
 	plan := make([]PlannedCell, len(cells))
 	for i, c := range cells {
-		digest, err := s.System.BenchDigest(c.Bench, s.InputSeed)
+		key, pt, err := r.lookup(c)
 		if err != nil {
 			return nil, err
 		}
-		pc := PlannedCell{Index: i, Cell: c, Key: cellKey(fingerprint, digest, s, c)}
-		if g.Resume {
-			if pt, ok := stored.Load(pc.Key, decodeCell); ok {
-				p := pt
-				pc.Point = &p
-			}
-		}
-		plan[i] = pc
+		plan[i] = PlannedCell{Index: i, Cell: c, Key: key, Point: pt}
 	}
 	return plan, nil
 }
@@ -289,13 +276,12 @@ func (g Grid) RunCells(ctx context.Context, indices []int) ([]CellResult, error)
 }
 
 // resolvedCell is the outcome of resolving one grid coordinate: a
-// checkpointed Point loaded from the store (cached), a pointState
-// ready for the trial engine, or the cell's resolution error.
+// checkpointed Point loaded from the store, a pointState ready for the
+// trial engine, or the cell's resolution error.
 type resolvedCell struct {
-	cached bool
-	pt     Point
-	ps     *pointState
-	err    error
+	pt  *Point
+	ps  *pointState
+	err error
 }
 
 // resolver turns grid coordinates into engine-ready pointStates. It is
@@ -315,17 +301,31 @@ type resolver struct {
 }
 
 func newResolver(s Spec, g Grid) *resolver {
-	r := &resolver{s: s, cells: CellCache(g.Store), resume: g.Resume}
-	if g.Store != nil {
-		r.fingerprint = s.System.Fingerprint()
-	}
-	return r
+	return &resolver{s: s, cells: CellCache(g.Store), resume: g.Resume, fingerprint: s.System.Fingerprint()}
 }
 
 // benchCtx returns the benchmark's shared execution context, running
 // (or loading) its golden execution once per benchmark.
 func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
 	return r.ctxs.Get(b.Name, func() (*benchCtx, error) { return newBenchCtx(r.s, b) })
+}
+
+// lookup spells the cell's content-addressed store key and, when the
+// grid resumes, loads its checkpointed Point (nil on a miss). It is the
+// one spelling shared by planning and execution, so a planned key is
+// always the key the executed cell checkpoints under.
+func (r *resolver) lookup(c Cell) (string, *Point, error) {
+	digest, err := r.s.System.BenchDigest(c.Bench, r.s.InputSeed)
+	if err != nil {
+		return "", nil, err
+	}
+	key := cellKey(r.fingerprint, digest, r.s, c)
+	if r.resume {
+		if pt, ok := r.cells.Load(key, decodeCell); ok {
+			return key, &pt, nil
+		}
+	}
+	return key, nil, nil
 }
 
 // resolve materializes one cell: a resumed cell comes back as its
@@ -336,18 +336,9 @@ func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
 // singleflight caches), so concurrent resolution of any subset of the
 // grid yields exactly what serial resolution would have.
 func (r *resolver) resolve(c Cell) resolvedCell {
-	var key string
-	if r.cells.Store != nil {
-		digest, err := r.s.System.BenchDigest(c.Bench, r.s.InputSeed)
-		if err != nil {
-			return resolvedCell{err: err}
-		}
-		key = cellKey(r.fingerprint, digest, r.s, c)
-		if r.resume {
-			if pt, ok := r.cells.Load(key, decodeCell); ok {
-				return resolvedCell{cached: true, pt: pt}
-			}
-		}
+	key, pt, err := r.lookup(c)
+	if err != nil || pt != nil {
+		return resolvedCell{pt: pt, err: err}
 	}
 	model, err := r.s.System.Model(c.Model)
 	if err != nil {
@@ -376,20 +367,20 @@ func (r *resolver) resolve(c Cell) resolvedCell {
 // Cell resolution — model construction, golden recording, hazard-table
 // building, the expensive cold-cache prelude — runs on a bounded pool
 // of Spec.Workers resolver goroutines and is pipelined with execution:
-// each resolved cell streams into the trial engine as it lands, in
-// enumeration order, so trials for early cells overlap resolution of
-// later ones. Committing in enumeration order preserves the serial
-// semantics exactly: the first invalid cell still ends the grid with
-// the valid prefix's results intact, and every cell's Point is
-// bit-identical to resolving the cells one at a time, pinned by the
+// each resolver commits its cell straight into the trial engine, which
+// streams cells in enumeration order, so trials for early cells overlap
+// resolution of later ones. Committing in enumeration order preserves
+// the serial semantics exactly: the first invalid cell still ends the
+// grid with the valid prefix's results intact, and every cell's Point
+// is bit-identical to resolving the cells one at a time, pinned by the
 // differential tests.
 //
 // Cancellation is honoured at cell-resolution boundaries (no further
-// cells are committed) and at trial granularity inside the engine: no
-// new trials are scheduled, in-flight trials finish, and the run
-// returns ctx's error. Cells that completed before the cancellation
-// are already checkpointed when a store is attached, so a resubmitted
-// grid resumes past them.
+// cells are claimed or committed) and at trial granularity inside the
+// engine: no new trials are scheduled, in-flight trials finish, and the
+// run returns ctx's error once every goroutine it started has exited.
+// Cells that completed before the cancellation are already checkpointed
+// when a store is attached, so a resubmitted grid resumes past them.
 func (g Grid) RunContext(ctx context.Context) ([]CellResult, error) {
 	return g.runCells(ctx, g.Cells())
 }
@@ -402,99 +393,81 @@ func (g Grid) runCells(ctx context.Context, cells []Cell) ([]CellResult, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := newResolver(s, g)
-	eng := newEngine(s, g.Store)
+	eng := newEngine(s, g.Store, cells)
+	eng.resolveAll(ctx, newResolver(s, g))
+	return eng.run(ctx)
+}
 
-	// Resolution pool: each worker pulls the next unresolved cell index
-	// and parks the outcome in that cell's slot. Slots are buffered so
-	// a worker never blocks on the committer (each slot receives
-	// exactly one send), and rcancel turns the tail of the queue into
-	// cheap error sends once the committer has stopped consuming.
-	n := len(cells)
-	slots := make([]chan resolvedCell, n)
-	for i := range slots {
-		slots[i] = make(chan resolvedCell, 1)
-	}
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	workers := s.Workers
-	if workers > n {
-		workers = n
-	}
-	var rwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		rwg.Add(1)
+// resolveAll starts the resolver pool: min(Workers, cells) goroutines,
+// each claiming the next unresolved cell, resolving it outside the
+// engine lock and committing it; run joins them. Resolution keeps its
+// own goroutines rather than becoming a work item of the trial pool: a
+// resolve that blocks on a singleflight build (another grid's golden
+// recording or hazard table) would idle a trial core for its whole
+// duration. Measured on a 2-core host, that design lost 8 of 9
+// alternating fisimd-interactive benchmark pairs (median ops_per_s
+// 142.6 -> 135.8).
+func (e *engine) resolveAll(ctx context.Context, r *resolver) {
+	for w := 0; w < min(e.s.Workers, len(e.stream)); w++ {
+		e.resolvers.Add(1)
 		go func() {
-			defer rwg.Done()
-			for i := range idx {
-				if err := rctx.Err(); err != nil {
-					slots[i] <- resolvedCell{err: err}
-					continue
+			defer e.resolvers.Done()
+			for {
+				i, ok := e.claim(ctx)
+				if !ok {
+					return
 				}
-				slots[i] <- r.resolve(cells[i])
+				e.commit(i, r.resolve(e.stream[i]))
 			}
 		}()
 	}
+}
 
-	// The committer walks the slots in enumeration order — cached cells
-	// append their checkpointed Point, live cells stream into the
-	// engine — and stops at the first resolution error or cancellation.
-	// Sealing the engine (deferred) is what lets the trial pool retire
-	// once the streamed cells are done.
-	results := make([]CellResult, 0, n)
-	var liveIdx []int
-	var modelErr, cancelErr error
-	commitDone := make(chan struct{})
-	go func() {
-		defer close(commitDone)
-		defer eng.seal()
-		defer rcancel()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				cancelErr = err
-				return
-			}
-			rc := <-slots[i]
-			if rc.err != nil {
-				// A worker that observed rctx done reports rctx.Err(),
-				// which after an error-triggered rcancel would be
-				// context.Canceled even though the caller's ctx is live;
-				// only the caller's own cancellation is a cancellation.
-				if err := ctx.Err(); err != nil {
-					cancelErr = err
-				} else {
-					modelErr = rc.err
-				}
-				return
-			}
-			if rc.cached {
-				results = append(results, CellResult{
-					Bench: cells[i].Bench.Name, Model: cells[i].Model, Cached: true, Point: rc.pt,
-				})
-				continue
-			}
-			eng.addPoint(rc.ps)
-			results = append(results, CellResult{Bench: cells[i].Bench.Name, Model: cells[i].Model})
-			liveIdx = append(liveIdx, len(results)-1)
+// claim hands a resolver the next unresolved cell index. It reports
+// false once every cell is claimed, the stream has ended, or the run
+// has aborted; like the trial workers, it polls ctx synchronously so a
+// cancellation stops resolution even before the engine observes it.
+func (e *engine) claim(ctx context.Context) (int, bool) {
+	if err := ctx.Err(); err != nil {
+		e.abort(err)
+		return 0, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err != nil || e.sealed || e.claimed == len(e.stream) {
+		return 0, false
+	}
+	e.claimed++
+	return e.claimed - 1, true
+}
+
+// commit parks cell i's resolution in its slot and streams in every
+// cell that unblocks, in enumeration order: a checkpointed cell becomes
+// its CellResult, a live cell joins the trial pool, and a resolution
+// error seals the stream with the valid prefix intact; so does the last
+// cell. Order fixes where a result lands, never its numbers (trial RNG
+// depends only on (Seed, trial index)). An aborted run commits nothing
+// more, so late cells cannot make a cancelled grid look whole.
+func (e *engine) commit(i int, resolved resolvedCell) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.slots[i] = &resolved
+	for !e.sealed && e.err == nil && e.slots[e.committed] != nil {
+		rc, c := e.slots[e.committed], e.stream[e.committed]
+		e.committed++
+		switch {
+		case rc.err != nil:
+			e.cellErr, e.sealed = rc.err, true
+		case rc.pt != nil:
+			e.results = append(e.results, CellResult{Bench: c.Bench.Name, Model: c.Model, Cached: true, Point: *rc.pt})
+		default:
+			rc.ps.results = make([]trialResult, e.maxTrials)
+			rc.ps.target = e.initial
+			e.pts = append(e.pts, rc.ps)
+			e.totalTrials += e.initial
+			e.results = append(e.results, CellResult{Bench: c.Bench.Name, Model: c.Model})
 		}
-	}()
-
-	pts, engErr := eng.run(ctx)
-	<-commitDone
-	rwg.Wait()
-	if cancelErr != nil {
-		return nil, cancelErr
+		e.sealed = e.sealed || e.committed == len(e.stream)
 	}
-	if engErr != nil {
-		return nil, engErr
-	}
-	for i, pt := range pts {
-		results[liveIdx[i]].Point = pt
-	}
-	return results, modelErr
+	e.cond.Broadcast()
 }

@@ -10,16 +10,20 @@
 // combination of benchmark, model kind, supply voltage, noise sigma,
 // operand profile and frequency, and every (cell, trial) pair of the
 // whole grid is a work item drawn from one shared worker pool, so even
-// sparse grids saturate all cores. Fault models are built once per cell
-// spec via the core.System model cache, and all cells of one benchmark
-// share one golden execution context. Because each trial derives its
-// RNG from SubSeed(Seed, trial) and results are aggregated in
-// trial-index order, neither the schedule nor the surrounding grid has
-// any effect on a cell's numbers: a cell is bit-identical whether it is
-// evaluated alone (Run), inside a frequency sweep (Sweep — the
-// single-axis grid), or inside an arbitrary multi-axis grid. With an
-// attached artifact store, completed cells checkpoint to disk and a
-// resumed grid loads them instead of recomputing (see Grid).
+// sparse grids saturate all cores. Cells resolve on up to Workers
+// resolver goroutines, each committing its cell straight into the
+// engine, which streams cells into the pool in enumeration order; a
+// run starts no goroutines but those resolvers and its trial workers.
+// Fault models are built once per cell spec via the core.System model
+// cache, and all cells of one benchmark share one golden execution
+// context. Because each trial derives its RNG from SubSeed(Seed,
+// trial) and results are aggregated in trial-index order, neither the
+// schedule nor the surrounding grid has any effect on a cell's
+// numbers: a cell is bit-identical whether it is evaluated alone
+// (Run), inside a frequency sweep (Sweep — the single-axis grid), or
+// inside an arbitrary multi-axis grid. With an attached artifact
+// store, completed cells checkpoint to disk and a resumed grid loads
+// them instead of recomputing (see Grid).
 //
 // A cell's execution path follows from its inputs alone. Trials with
 // fixed inputs, whose watchdog budget admits the golden run, run
@@ -214,6 +218,16 @@ func (s Spec) replayableFor(b *bench.Benchmark) bool {
 	return s.Mode != ModeFull && !b.PerTrialInputs
 }
 
+// batchedFor reports whether batched first-fault sampling serves the
+// benchmark's cells: a replayable benchmark whose watchdog budget (the
+// golden cycle count scaled by WatchdogFactor) admits the fault-free
+// run itself. It is the one trial-path decision: newBenchCtx keeps the
+// golden trace exactly when it holds, and cellKey spells it as the
+// cell's path class.
+func (s Spec) batchedFor(b *bench.Benchmark) bool {
+	return s.replayableFor(b) && s.WatchdogFactor >= 1
+}
+
 // Progress is a snapshot of sweep-engine progress. Trial totals grow
 // while adaptive points extend their budgets.
 type Progress struct {
@@ -307,7 +321,7 @@ func newBenchCtx(s Spec, b *bench.Benchmark) (*benchCtx, error) {
 		}
 		ctx.prog, ctx.want = g.Prog, g.Want
 		ctx.watchdog = uint64(float64(g.Trace.Cycles) * s.WatchdogFactor)
-		if ctx.watchdog >= g.Trace.Cycles {
+		if s.batchedFor(b) {
 			ctx.golden = g
 			ctx.metric0 = b.Metric(g.Want, g.Want)
 			ctx.quality0 = ctx.qual(g.Want, g.Want)
@@ -399,11 +413,12 @@ type workItem struct {
 // (cell, trial) items across all cells of a grid, and adaptive cells
 // extend their own targets at batch boundaries.
 //
-// Points stream in: the engine starts empty, addPoint hands it each
-// resolved cell as the resolver produces it (trials for early cells
-// overlap resolution of later cells), and seal marks the stream
-// complete — only then may the workers retire once every point is
-// done.
+// The engine owns the grid's cell stream: resolvers claim cells from
+// it and commit them back (see resolveAll and commit), and cells join
+// the trial pool in enumeration order as they land, so trials for
+// early cells overlap resolution of later ones. The stream seals once
+// every cell is in (or a cell failed to resolve); only then may the
+// workers retire once every point is done.
 type engine struct {
 	s     Spec
 	cells *artifact.Cache[string, Point] // closed cells checkpoint here
@@ -411,18 +426,30 @@ type engine struct {
 	maxTrials int // per-point result capacity (adaptive ceiling)
 	initial   int // per-point initial target (first batch)
 
+	stream    []Cell         // the cells to run, in enumeration order
+	resolvers sync.WaitGroup // the resolver pool of resolveAll
+
 	mu          sync.Mutex
 	cond        *sync.Cond
-	pts         []*pointState // grows via addPoint until sealed
-	sealed      bool          // no further addPoint calls will arrive
+	slots       []*resolvedCell // resolved cells awaiting their turn
+	claimed     int             // stream cells handed to resolvers
+	committed   int             // stream cells streamed in
+	results     []CellResult    // committed cells, Points of live ones filled by run
+	cellErr     error           // the resolution error that ended the stream
+	pts         []*pointState   // the live cells, in stream order
+	sealed      bool            // no further cells will be committed
 	err         error
 	doneTrials  int
 	totalTrials int
 	donePoints  int
 }
 
-func newEngine(s Spec, store *artifact.Store) *engine {
-	e := &engine{s: s, cells: CellCache(store), maxTrials: s.Trials, initial: s.Trials}
+func newEngine(s Spec, store *artifact.Store, cells []Cell) *engine {
+	e := &engine{
+		s: s, cells: CellCache(store), maxTrials: s.Trials, initial: s.Trials,
+		stream: cells, slots: make([]*resolvedCell, len(cells)), sealed: len(cells) == 0,
+		results: make([]CellResult, 0, len(cells)),
+	}
 	e.cond = sync.NewCond(&e.mu)
 	if s.adaptive() {
 		e.maxTrials = s.TrialsMax
@@ -431,34 +458,20 @@ func newEngine(s Spec, store *artifact.Store) *engine {
 	return e
 }
 
-// addPoint streams one resolved cell into the scheduler; waiting
-// workers pick its trials up immediately. Points must be added in the
-// grid's enumeration order (results are aggregated positionally), but
-// that order has no effect on any point's numbers — trial RNG depends
-// only on (Seed, trial index).
-func (e *engine) addPoint(p *pointState) {
-	p.results = make([]trialResult, e.maxTrials)
-	p.target = e.initial
+// abort ends the run with err unless it already ended with an error,
+// and wakes every parked worker.
+func (e *engine) abort(err error) {
 	e.mu.Lock()
-	e.pts = append(e.pts, p)
-	e.totalTrials += e.initial
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// seal marks the point stream complete: once every streamed point is
-// done the workers retire. Without it the pool would block forever
-// waiting for more cells.
-func (e *engine) seal() {
-	e.mu.Lock()
-	e.sealed = true
+	if e.err == nil {
+		e.err = err
+	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
 
 // take hands out the next work item, blocking while all points are
 // between batches (or waiting on a planning pass, or while the
-// resolver has not yet streamed in more cells). It returns false when
+// resolvers have not yet committed more cells). It returns false when
 // the sweep is complete (all streamed points done and the stream
 // sealed) or aborted.
 func (e *engine) take() (workItem, bool) {
@@ -790,56 +803,36 @@ func (e *engine) finishTrial(ctx *benchCtx, qual bench.QualityFunc, c *cpu.CPU, 
 	return r
 }
 
-// run drives the worker pool to completion and aggregates every point.
+// run drives the worker pool to completion, joins the resolvers, and
+// returns the committed cells with every live cell's Point aggregated,
+// together with the resolution error that ended the stream, if any.
 // A cancelled ctx aborts the grid at trial granularity: no new (cell,
 // trial) items are handed out, in-flight trials finish, and the run
 // returns ctx's error — unless the stream was sealed and every cell had
 // already closed when the cancellation landed, in which case the
 // complete grid is returned.
-func (e *engine) run(ctx context.Context) ([]Point, error) {
-	var stopWatcher, watcherDone chan struct{}
-	if done := ctx.Done(); done != nil {
-		stopWatcher = make(chan struct{})
-		watcherDone = make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-done:
-				e.mu.Lock()
-				if e.err == nil {
-					e.err = ctx.Err()
-				}
-				e.cond.Broadcast()
-				e.mu.Unlock()
-			case <-stopWatcher:
-			}
-		}()
-	}
+func (e *engine) run(ctx context.Context) ([]CellResult, error) {
+	// Parked workers wake through the abort; busy ones poll ctx below.
+	stop := context.AfterFunc(ctx, func() { e.abort(ctx.Err()) })
+	defer stop()
 	// The pool runs at full width from the start: cells stream in while
 	// workers are already up, so the total amount of work is unknown
 	// here. An idle worker parks in take() until a point arrives or the
 	// stream seals.
-	workers := e.s.Workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < e.s.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			m := newMem()
 			var wm *mem.Memory // walker memory, lazily built for chunks
 			for {
-				// Poll the context synchronously between items: the watcher
-				// alone covers parked workers, but a hot worker on a busy
-				// machine could otherwise race through the remaining items
-				// before the watcher goroutine is ever scheduled, turning a
-				// mid-run cancellation into a spuriously "whole" grid.
+				// Poll ctx between items too: a hot worker could otherwise
+				// race through the remaining items before the AfterFunc
+				// runs, turning a mid-run cancellation into a spuriously
+				// "whole" grid.
 				if err := ctx.Err(); err != nil {
-					e.mu.Lock()
-					if e.err == nil {
-						e.err = err
-					}
-					e.cond.Broadcast()
-					e.mu.Unlock()
+					e.abort(err)
 					return
 				}
 				it, ok := e.take()
@@ -861,46 +854,41 @@ func (e *engine) run(ctx context.Context) ([]Point, error) {
 		}()
 	}
 	wg.Wait()
-	// Join the context watcher before reading e.err: wg.Wait only
-	// synchronizes the workers, and the watcher writes e.err too.
-	if stopWatcher != nil {
-		close(stopWatcher)
-		<-watcherDone
-	}
+	e.resolvers.Wait()
 	e.mu.Lock()
-	err := e.err
-	// Workers only retire once the stream is sealed (or on abort), so
-	// this snapshot covers every point the committer handed over; grab
-	// it under the lock since an aborted run can race a late addPoint.
-	pts, sealed := e.pts, e.sealed
-	e.mu.Unlock()
-	if err != nil {
+	defer e.mu.Unlock()
+	if e.err != nil {
 		// A cancellation that landed only after every cell had closed
 		// aborted nothing; the grid is whole and its points are exactly
 		// what an uncancelled run would have produced (decide runs before
 		// the error check in complete, so no cell was closed early). An
-		// unsealed stream is never whole: the committer may still be
-		// handing over cells the aborted pool will not run.
-		whole := sealed && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-		for _, p := range pts {
+		// unsealed stream is never whole: cells the aborted run never
+		// committed are missing from it.
+		whole := e.sealed && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded))
+		for _, p := range e.pts {
 			if !p.done {
 				whole = false
 				break
 			}
 		}
 		if !whole {
-			return nil, err
+			return nil, e.err
 		}
 	}
-	out := make([]Point, 0, len(pts))
-	for _, p := range pts {
+	live := e.pts
+	for i := range e.results {
+		if e.results[i].Cached {
+			continue
+		}
+		p := live[0]
+		live = live[1:]
 		pt, err := aggregate(p.cell.Model.FreqMHz, p.results[:p.target])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pt)
+		e.results[i].Point = pt
 	}
-	return out, nil
+	return e.results, e.cellErr
 }
 
 // aggregate folds raw trial results (in trial-index order) into the

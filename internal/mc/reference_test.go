@@ -128,7 +128,7 @@ func refRun(spec Spec, k refKernel, fMHz float64) (Point, error) {
 		}
 	}
 
-	e := newEngine(s, nil)
+	e := newEngine(s, nil, nil)
 	p.results = make([]trialResult, e.maxTrials)
 	p.target = e.initial
 	for from := 0; ; {
@@ -231,36 +231,21 @@ func refTrialFull(e *engine, m *mem.Memory, p *pointState, ti int, rng *stats.Tr
 }
 
 // refSerialResolve is the pre-pipelining grid driver: every cell is
-// resolved in enumeration order on the calling goroutine, and the trial
-// engine starts only after the last cell resolved (or the first one
-// failed, which ends the grid with the valid prefix and that error).
+// resolved in enumeration order on the calling goroutine and committed
+// to the engine, and the trial engine starts only after the last cell
+// resolved (or the first one failed, which ends the grid with the valid
+// prefix and that error).
 func refSerialResolve(g Grid) ([]CellResult, error) {
 	s := g.Spec.withDefaults()
 	r := newResolver(s, g)
-	eng := newEngine(s, g.Store)
 	cells := g.Cells()
-	results := make([]CellResult, 0, len(cells))
-	var liveIdx []int
-	var modelErr error
-	for _, c := range cells {
+	eng := newEngine(s, g.Store, cells)
+	for i, c := range cells {
 		rc := r.resolve(c)
+		eng.commit(i, rc)
 		if rc.err != nil {
-			modelErr = rc.err
 			break
 		}
-		results = append(results, CellResult{Bench: c.Bench.Name, Model: c.Model, Cached: rc.cached, Point: rc.pt})
-		if !rc.cached {
-			eng.addPoint(rc.ps)
-			liveIdx = append(liveIdx, len(results)-1)
-		}
 	}
-	eng.seal()
-	pts, err := eng.run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range pts {
-		results[liveIdx[i]].Point = pt
-	}
-	return results, modelErr
+	return eng.run(context.Background())
 }
