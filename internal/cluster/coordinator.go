@@ -247,7 +247,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec, onProgress f
 	for _, pc := range plan {
 		if pc.Point != nil {
 			j.results[pc.Index] = mc.CellResult{
-				Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Cached: true, Point: *pc.Point,
+				Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Key: pc.Key, Cached: true, Point: *pc.Point,
 			}
 			j.done[pc.Index] = true
 			base.Done += pc.Point.Trials
@@ -262,16 +262,13 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec, onProgress f
 		return j.results, nil
 	}
 
-	// The waker turns job-context cancellation into a cond broadcast so
-	// idle pull loops blocked in next() observe it.
-	wakerDone := make(chan struct{})
-	go func() {
-		defer close(wakerDone)
-		<-jctx.Done()
+	// Job-context cancellation wakes idle pull loops blocked in next().
+	stop := context.AfterFunc(jctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
 		j.mu.Unlock()
-	}()
+	})
+	defer stop()
 
 	var wg sync.WaitGroup
 	for wi := range c.workers {
@@ -285,8 +282,6 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec, onProgress f
 		}(wi)
 	}
 	wg.Wait()
-	cancel()
-	<-wakerDone
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -488,7 +483,7 @@ func (c *Coordinator) acceptCell(j *job, l *lease, ev LeaseEvent) error {
 	j.done[ev.Index] = true
 	j.remaining--
 	j.results[ev.Index] = mc.CellResult{
-		Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Cached: ev.Cached, Point: *ev.Point,
+		Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Key: pc.Key, Cached: ev.Cached, Point: *ev.Point,
 	}
 	l.acceptedTrials += ev.Point.Trials
 	l.acceptedPoints++

@@ -41,10 +41,10 @@ type LeaseEvent struct {
 	Event string `json:"event"`
 
 	// Progress fields (event "progress"): cumulative within the lease —
-	// trials and points settled by completed cells plus the live counts
-	// of the cell currently executing. The coordinator uses only the
-	// done counts; lease-local totals are informative (the coordinator
-	// knows the whole job's totals from its own plan).
+	// cells served from the worker's store plus the live counts of the
+	// lease's computed cells, which all run at once. The coordinator uses
+	// only the done counts; lease-local totals are informative (the
+	// coordinator knows the whole job's totals from its own plan).
 	DoneTrials  int `json:"done_trials,omitempty"`
 	TotalTrials int `json:"total_trials,omitempty"`
 	DonePoints  int `json:"done_points,omitempty"`

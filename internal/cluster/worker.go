@@ -12,7 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/artifact"
@@ -40,13 +40,14 @@ type Worker struct {
 	// resumed ones — workers sharing a cache directory make a warm
 	// cluster run answer from disk.
 	Store *artifact.Store
-	// Workers caps the mc trial pool per leased cell (0 = NumCPU).
+	// Workers caps the mc trial pool per lease (0 = NumCPU).
 	Workers int
 	// CellDelay, when positive, sleeps after each computed (non-cached)
-	// cell before reporting it — a fixed per-node service latency that
-	// TestClusterShapesBitIdentical (the 4-vs-1-worker speedup gate) and
-	// TestWorkStealing use to emulate node capacity on machines with
-	// fewer cores than workers. Zero in production.
+	// cell before reporting it, one cell's sleep at a time per lease — a
+	// fixed per-node service latency that TestClusterShapesBitIdentical
+	// (the 4-vs-1-worker speedup gate) and TestWorkStealing use to
+	// emulate node capacity on machines with fewer cores than workers.
+	// Zero in production.
 	CellDelay time.Duration
 	// Logf, when set, receives one line per lease.
 	Logf func(format string, args ...any)
@@ -71,10 +72,10 @@ func workerJSON(rw http.ResponseWriter, code int, v any) {
 }
 
 // handleLease validates the lease against this node's substrate, then
-// executes the leased cells one at a time — each through the same grid
-// engine a local run uses — streaming an NDJSON event per completion so
-// the coordinator merges (and checkpoints) cells as they land rather
-// than at lease end.
+// executes all the leased cells at once through one run of the same
+// grid engine a local run uses, streaming an NDJSON event per cell as
+// the engine emits it, so the coordinator merges (and checkpoints)
+// cells as they land rather than at lease end.
 func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxLeaseBody))
@@ -103,26 +104,39 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := &leaseStream{}
-	grid, err := spec.Grid(w.System, w.Store, w.Workers, st.progress)
+	// Snapshots arrive one at a time under the engine's lock, so the send
+	// below, the channel's only one, never blocks. Hand on, throttled,
+	// the latest snapshot and every one that closes a cell.
+	progress := make(chan mc.Progress, 1)
+	var lastAt time.Time
+	var lastPoints int
+	grid, err := spec.Grid(w.System, w.Store, w.Workers, func(p mc.Progress) {
+		if now := time.Now(); now.Sub(lastAt) >= progressInterval || p.DonePoints > lastPoints {
+			lastAt, lastPoints = now, p.DonePoints
+			select {
+			case <-progress: // replaced by the newer snapshot
+			default:
+			}
+			progress <- p
+		}
+	})
 	if err != nil {
 		workerJSON(rw, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	// Keys come from a non-resuming plan (no store reads): the execution
-	// path below consults the store itself.
-	keyGrid := grid
-	keyGrid.Resume = false
-	plan, err := keyGrid.PlanCells()
-	if err != nil {
-		workerJSON(rw, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
+	// One engine runs the whole lease: each index must name a distinct
+	// cell, or every copy of a repeated one would be computed at once.
+	seen := make([]bool, len(grid.Cells()))
 	for _, idx := range req.Cells {
-		if idx < 0 || idx >= len(plan) {
-			workerJSON(rw, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("cell index %d out of range (grid has %d cells)", idx, len(plan))})
+		if idx < 0 || idx >= len(seen) {
+			workerJSON(rw, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("cell index %d out of range (grid has %d cells)", idx, len(seen))})
 			return
 		}
+		if seen[idx] {
+			workerJSON(rw, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("cell index %d leased twice", idx)})
+			return
+		}
+		seen[idx] = true
 	}
 	flusher, ok := rw.(http.Flusher)
 	if !ok {
@@ -134,90 +148,66 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	rw.WriteHeader(http.StatusOK)
-	st.enc = json.NewEncoder(rw)
-	st.flush = flusher
+	enc := json.NewEncoder(rw)
+	write := func(ev LeaseEvent) {
+		_ = enc.Encode(ev) // a vanished coordinator cancels ctx, ending the run
+		flusher.Flush()
+	}
 	flusher.Flush()
 
+	// The engine emits cells on its own goroutines; only the handler's
+	// writes the response (a handler may abort only on its own goroutine,
+	// and must not write once it has returned). The buffer holds every
+	// cell, so an emit never blocks, even after the handler has gone.
 	ctx := r.Context()
-	for _, idx := range req.Cells {
-		res, err := grid.RunCells(ctx, []int{idx})
-		if err != nil {
-			if ctx.Err() != nil {
-				// The coordinator hung up (steal completed elsewhere, job
-				// canceled, lease deadline): nothing left to tell it.
+	cells := make(chan LeaseEvent, len(req.Cells))
+	var res []mc.CellResult
+	go func() {
+		defer close(cells)
+		res, err = grid.RunCells(ctx, req.Cells, func(pos int, cr mc.CellResult) {
+			cells <- LeaseEvent{Event: "cell", Index: req.Cells[pos], Key: cr.Key, Cached: cr.Cached, Point: &cr.Point}
+			// Let the handler write the event now: on a busy host it would
+			// otherwise wait for this trial worker's time slice to end.
+			runtime.Gosched()
+		})
+	}()
+	// Progress is lease-cumulative: the engine's snapshot covers every
+	// computed cell of the lease, cached cells count from their events.
+	var cachedTrials, cachedPoints int
+	for {
+		select {
+		case ev, ok := <-cells:
+			if !ok {
+				if ctx.Err() != nil {
+					// The coordinator hung up (steal completed elsewhere,
+					// job canceled, lease deadline): nothing left to tell it.
+					return
+				}
+				if err != nil { // the cells before the failed one were emitted
+					write(LeaseEvent{Event: "error", Index: req.Cells[len(res)], Error: err.Error()})
+					return
+				}
+				write(LeaseEvent{Event: "done"})
 				return
 			}
-			st.write(LeaseEvent{Event: "error", Index: idx, Error: err.Error()})
-			return
-		}
-		cr := res[0]
-		if w.CellDelay > 0 && !cr.Cached {
-			select {
-			case <-time.After(w.CellDelay):
-			case <-ctx.Done():
-				return
+			if ev.Cached {
+				cachedTrials += ev.Point.Trials
+				cachedPoints++
+			} else if w.CellDelay > 0 {
+				select {
+				case <-time.After(w.CellDelay):
+				case <-ctx.Done(): // the run is ending: drain it
+				}
 			}
+			write(ev)
+		case p := <-progress:
+			write(LeaseEvent{
+				Event:      "progress",
+				DoneTrials: cachedTrials + p.DoneTrials, TotalTrials: cachedTrials + p.TotalTrials,
+				DonePoints: cachedPoints + p.DonePoints, TotalPoints: cachedPoints + p.TotalPoints,
+			})
 		}
-		pt := cr.Point
-		st.cell(LeaseEvent{Event: "cell", Index: idx, Key: plan[idx].Key, Cached: cr.Cached, Point: &pt})
 	}
-	st.write(LeaseEvent{Event: "done"})
-}
-
-// leaseStream serializes event writes (the engine's progress callback
-// races the execution loop) and accumulates the lease-cumulative
-// progress baseline as cells settle.
-type leaseStream struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
-	flush http.Flusher
-
-	lastProgress                 time.Time
-	settledTrials, settledPoints int
-}
-
-// progress relays one engine snapshot (scoped to the cell currently
-// executing) as a lease-cumulative event, throttled.
-func (s *leaseStream) progress(p mc.Progress) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.enc == nil {
-		return // headers not committed yet (plan phase)
-	}
-	now := time.Now()
-	if now.Sub(s.lastProgress) < progressInterval {
-		return
-	}
-	s.lastProgress = now
-	s.writeLocked(LeaseEvent{
-		Event:      "progress",
-		DoneTrials: s.settledTrials + p.DoneTrials, TotalTrials: s.settledTrials + p.TotalTrials,
-		DonePoints: s.settledPoints + p.DonePoints, TotalPoints: s.settledPoints + p.TotalPoints,
-	})
-}
-
-// cell settles a completed cell into the progress baseline and flushes
-// its event immediately.
-func (s *leaseStream) cell(ev LeaseEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.settledTrials += ev.Point.Trials
-	s.settledPoints++
-	s.writeLocked(ev)
-}
-
-func (s *leaseStream) write(ev LeaseEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeLocked(ev)
-}
-
-func (s *leaseStream) writeLocked(ev LeaseEvent) {
-	// Write errors are deliberately dropped: a vanished coordinator
-	// shows up as the request context closing, which the execution loop
-	// already honours.
-	_ = s.enc.Encode(ev)
-	s.flush.Flush()
 }
 
 // Serve is a convenience for cmd/fisimd's worker mode: serve the worker

@@ -86,11 +86,13 @@ type Cell struct {
 	Model core.ModelSpec
 }
 
-// CellResult is one evaluated grid cell. Cached marks cells that were
-// loaded from the artifact store instead of recomputed (grid resume).
+// CellResult is one evaluated grid cell under its artifact-store key.
+// Cached marks cells that were loaded from the store instead of
+// recomputed (grid resume).
 type CellResult struct {
 	Bench  string
 	Model  core.ModelSpec
+	Key    string
 	Cached bool
 	Point  Point
 }
@@ -263,7 +265,13 @@ func (g Grid) PlanCells() ([]PlannedCell, error) {
 // index), never on the surrounding grid), which is what lets a cluster
 // worker execute an arbitrary leased subset and a coordinator merge the
 // pieces into exactly the result a single-node run would produce.
-func (g Grid) RunCells(ctx context.Context, indices []int) ([]CellResult, error) {
+//
+// emit, when non-nil, receives each cell once, the moment its Point is
+// final (a computed cell after its checkpoint is written), with pos its
+// index into indices; calls may be concurrent and all end before
+// RunCells returns. A cell that closes after the run aborted is not
+// emitted.
+func (g Grid) RunCells(ctx context.Context, indices []int, emit func(pos int, c CellResult)) ([]CellResult, error) {
 	all := g.Cells()
 	cells := make([]Cell, len(indices))
 	for i, idx := range indices {
@@ -272,13 +280,14 @@ func (g Grid) RunCells(ctx context.Context, indices []int) ([]CellResult, error)
 		}
 		cells[i] = all[idx]
 	}
-	return g.runCells(ctx, cells)
+	return g.runCells(ctx, cells, emit)
 }
 
-// resolvedCell is the outcome of resolving one grid coordinate: a
-// checkpointed Point loaded from the store, a pointState ready for the
-// trial engine, or the cell's resolution error.
+// resolvedCell is the outcome of resolving one grid coordinate under
+// its store key: a checkpointed Point loaded from the store, a
+// pointState ready for the trial engine, or the resolution error.
 type resolvedCell struct {
+	key string
 	pt  *Point
 	ps  *pointState
 	err error
@@ -302,12 +311,6 @@ type resolver struct {
 
 func newResolver(s Spec, g Grid) *resolver {
 	return &resolver{s: s, cells: CellCache(g.Store), resume: g.Resume, fingerprint: s.System.Fingerprint()}
-}
-
-// benchCtx returns the benchmark's shared execution context, running
-// (or loading) its golden execution once per benchmark.
-func (r *resolver) benchCtx(b *bench.Benchmark) (*benchCtx, error) {
-	return r.ctxs.Get(b.Name, func() (*benchCtx, error) { return newBenchCtx(r.s, b) })
 }
 
 // lookup spells the cell's content-addressed store key and, when the
@@ -338,17 +341,17 @@ func (r *resolver) lookup(c Cell) (string, *Point, error) {
 func (r *resolver) resolve(c Cell) resolvedCell {
 	key, pt, err := r.lookup(c)
 	if err != nil || pt != nil {
-		return resolvedCell{pt: pt, err: err}
+		return resolvedCell{key: key, pt: pt, err: err}
 	}
 	model, err := r.s.System.Model(c.Model)
 	if err != nil {
 		return resolvedCell{err: err}
 	}
-	bctx, err := r.benchCtx(c.Bench)
+	bctx, err := r.ctxs.Get(c.Bench.Name, func() (*benchCtx, error) { return newBenchCtx(r.s, c.Bench) })
 	if err != nil {
 		return resolvedCell{err: err}
 	}
-	ps := &pointState{cell: c, ctx: bctx, model: model, key: key}
+	ps := &pointState{cell: c, ctx: bctx, model: model}
 	if bctx.golden != nil {
 		// Fetch (or build and cache) the cell's hazard table over the
 		// shared golden trace. Hazard rejects a model that is not a
@@ -359,7 +362,7 @@ func (r *resolver) resolve(c Cell) resolvedCell {
 		}
 		ps.hazModel, ps.hazard = model.(fi.HazardModel), hz
 	}
-	return resolvedCell{ps: ps}
+	return resolvedCell{key: key, ps: ps}
 }
 
 // RunContext evaluates the grid under a context.
@@ -382,18 +385,19 @@ func (r *resolver) resolve(c Cell) resolvedCell {
 // Cells that completed before the cancellation are already checkpointed
 // when a store is attached, so a resubmitted grid resumes past them.
 func (g Grid) RunContext(ctx context.Context) ([]CellResult, error) {
-	return g.runCells(ctx, g.Cells())
+	return g.runCells(ctx, g.Cells(), nil)
 }
 
 // runCells is the engine entry shared by the full-grid path (RunContext)
 // and the subset path (RunCells): resolve and execute exactly the given
-// cells, in the given order.
-func (g Grid) runCells(ctx context.Context, cells []Cell) ([]CellResult, error) {
+// cells, in the given order, emitting each as it becomes final.
+func (g Grid) runCells(ctx context.Context, cells []Cell, emit func(int, CellResult)) ([]CellResult, error) {
 	s := g.Spec.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	eng := newEngine(s, g.Store, cells)
+	eng.emit = emit
 	eng.resolveAll(ctx, newResolver(s, g))
 	return eng.run(ctx)
 }
@@ -443,31 +447,40 @@ func (e *engine) claim(ctx context.Context) (int, bool) {
 
 // commit parks cell i's resolution in its slot and streams in every
 // cell that unblocks, in enumeration order: a checkpointed cell becomes
-// its CellResult, a live cell joins the trial pool, and a resolution
-// error seals the stream with the valid prefix intact; so does the last
-// cell. Order fixes where a result lands, never its numbers (trial RNG
-// depends only on (Seed, trial index)). An aborted run commits nothing
-// more, so late cells cannot make a cancelled grid look whole.
+// its CellResult and is emitted, a live cell joins the trial pool, and
+// a resolution error seals the stream with the valid prefix intact; so
+// does the last cell. Order fixes where a result lands, never its
+// numbers (trial RNG depends only on (Seed, trial index)). An aborted
+// run commits nothing more, so late cells cannot make a cancelled grid
+// look whole.
 func (e *engine) commit(i int, resolved resolvedCell) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.slots[i] = &resolved
+	var cached []int
 	for !e.sealed && e.err == nil && e.slots[e.committed] != nil {
-		rc, c := e.slots[e.committed], e.stream[e.committed]
-		e.committed++
-		switch {
-		case rc.err != nil:
+		pos := e.committed
+		rc, c := e.slots[pos], e.stream[pos]
+		if rc.err != nil {
 			e.cellErr, e.sealed = rc.err, true
-		case rc.pt != nil:
-			e.results = append(e.results, CellResult{Bench: c.Bench.Name, Model: c.Model, Cached: true, Point: *rc.pt})
-		default:
+			break
+		}
+		e.committed++
+		e.results[pos] = CellResult{Bench: c.Bench.Name, Model: c.Model, Key: rc.key}
+		if rc.pt != nil {
+			e.results[pos].Cached, e.results[pos].Point = true, *rc.pt
+			cached = append(cached, pos)
+		} else {
+			rc.ps.slot = pos
 			rc.ps.results = make([]trialResult, e.maxTrials)
 			rc.ps.target = e.initial
 			e.pts = append(e.pts, rc.ps)
 			e.totalTrials += e.initial
-			e.results = append(e.results, CellResult{Bench: c.Bench.Name, Model: c.Model})
 		}
-		e.sealed = e.sealed || e.committed == len(e.stream)
+		e.sealed = e.committed == len(e.stream)
 	}
 	e.cond.Broadcast()
+	e.mu.Unlock()
+	for _, pos := range cached {
+		e.emitCell(pos)
+	}
 }

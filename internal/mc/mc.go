@@ -350,11 +350,9 @@ type pointState struct {
 	model fi.Model
 	// hazModel/hazard drive batched first-fault sampling; nil when the
 	// cell runs full execution instead.
-	hazModel fi.HazardModel
-	hazard   *fi.Hazard
-	// key is the cell's artifact-store key; completed cells are
-	// checkpointed under it when the engine holds a store.
-	key       string
+	hazModel  fi.HazardModel
+	hazard    *fi.Hazard
+	slot      int // the cell's index in the stream and in engine.results
 	results   []trialResult
 	next      int  // next trial index to hand out
 	completed int  // trials finished
@@ -422,19 +420,20 @@ type workItem struct {
 type engine struct {
 	s     Spec
 	cells *artifact.Cache[string, Point] // closed cells checkpoint here
+	emit  func(pos int, c CellResult)    // optional; see Grid.RunCells
 
 	maxTrials int // per-point result capacity (adaptive ceiling)
 	initial   int // per-point initial target (first batch)
 
 	stream    []Cell         // the cells to run, in enumeration order
 	resolvers sync.WaitGroup // the resolver pool of resolveAll
+	results   []CellResult   // one slot per stream cell, one writer at a time
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	slots       []*resolvedCell // resolved cells awaiting their turn
 	claimed     int             // stream cells handed to resolvers
-	committed   int             // stream cells streamed in
-	results     []CellResult    // committed cells, Points of live ones filled by run
+	committed   int             // stream cells streamed in (the valid prefix)
 	cellErr     error           // the resolution error that ended the stream
 	pts         []*pointState   // the live cells, in stream order
 	sealed      bool            // no further cells will be committed
@@ -448,7 +447,7 @@ func newEngine(s Spec, store *artifact.Store, cells []Cell) *engine {
 	e := &engine{
 		s: s, cells: CellCache(store), maxTrials: s.Trials, initial: s.Trials,
 		stream: cells, slots: make([]*resolvedCell, len(cells)), sealed: len(cells) == 0,
-		results: make([]CellResult, 0, len(cells)),
+		results: make([]CellResult, len(cells)),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if s.adaptive() {
@@ -549,18 +548,19 @@ func (e *engine) decide(p *pointState) bool {
 }
 
 // complete records one finished trial and, at batch boundaries, either
-// closes the point or extends its target by another batch. A point that
-// closes cleanly is checkpointed to the artifact store (when one is
-// attached) so an interrupted grid can resume past it.
+// closes the point or extends its target by another batch. A closed
+// point is emitted (emitCell) outside the lock.
 func (e *engine) complete(p *pointState, ti int, r trialResult) {
 	e.mu.Lock()
 	p.results[ti] = r
 	p.completed++
 	e.doneTrials++
-	if r.err != nil && e.err == nil {
+	if r.err != nil {
+		// Any trial error fails the run, even one after a cancellation
+		// that leaves the grid whole (see run).
 		e.err = r.err
 	}
-	closed := false
+	closed, live := false, false
 	if !p.done && p.completed == p.target {
 		// An aborted grid never closes a point early: a point decide
 		// would extend stays open (and unscheduled, since take() stops on
@@ -569,7 +569,7 @@ func (e *engine) complete(p *pointState, ti int, r trialResult) {
 		// had already closed.
 		if e.decide(p) {
 			p.done = true
-			closed = e.err == nil
+			closed, live = true, e.err == nil
 			e.donePoints++
 		} else if e.err == nil {
 			grow := e.s.TrialsMin
@@ -594,14 +594,28 @@ func (e *engine) complete(p *pointState, ti int, r trialResult) {
 		})
 	}
 	e.mu.Unlock()
-	if closed && e.cells.Store != nil && p.key != "" {
-		// The results prefix is immutable once the point is done, so the
-		// write can happen outside the lock. Checkpointing is best-effort:
-		// a failed write costs a recomputation on resume, never
-		// correctness.
+	if closed {
+		// The results prefix is immutable once the point is done. An
+		// aggregation error is a failed trial, which already set e.err.
 		if pt, err := aggregate(p.cell.Model.FreqMHz, p.results[:p.target]); err == nil {
-			e.cells.Save(p.key, pt)
+			e.results[p.slot].Point = pt
+			if live {
+				e.emitCell(p.slot)
+			}
 		}
+	}
+}
+
+// emitCell is the one exit of a cell whose Point is final, taken outside
+// the lock while the run is live: a computed cell checkpoints (a failed
+// write costs a recomputation on resume), then emit receives the cell.
+func (e *engine) emitCell(pos int) {
+	c := e.results[pos]
+	if !c.Cached {
+		e.cells.Save(c.Key, c.Point)
+	}
+	if e.emit != nil {
+		e.emit(pos, c)
 	}
 }
 
@@ -804,13 +818,13 @@ func (e *engine) finishTrial(ctx *benchCtx, qual bench.QualityFunc, c *cpu.CPU, 
 }
 
 // run drives the worker pool to completion, joins the resolvers, and
-// returns the committed cells with every live cell's Point aggregated,
-// together with the resolution error that ended the stream, if any.
-// A cancelled ctx aborts the grid at trial granularity: no new (cell,
-// trial) items are handed out, in-flight trials finish, and the run
-// returns ctx's error — unless the stream was sealed and every cell had
-// already closed when the cancellation landed, in which case the
-// complete grid is returned.
+// returns the committed cells, each emitted with its Point, together
+// with the resolution error that ended the stream, if any. A cancelled
+// ctx aborts the grid at trial granularity: no new (cell, trial) items
+// are handed out, in-flight trials finish, and the run returns ctx's
+// error — unless the stream was sealed and every cell had already
+// closed when the cancellation landed, in which case the complete grid
+// is returned.
 func (e *engine) run(ctx context.Context) ([]CellResult, error) {
 	// Parked workers wake through the abort; busy ones poll ctx below.
 	stop := context.AfterFunc(ctx, func() { e.abort(ctx.Err()) })
@@ -875,20 +889,7 @@ func (e *engine) run(ctx context.Context) ([]CellResult, error) {
 			return nil, e.err
 		}
 	}
-	live := e.pts
-	for i := range e.results {
-		if e.results[i].Cached {
-			continue
-		}
-		p := live[0]
-		live = live[1:]
-		pt, err := aggregate(p.cell.Model.FreqMHz, p.results[:p.target])
-		if err != nil {
-			return nil, err
-		}
-		e.results[i].Point = pt
-	}
-	return e.results, e.cellErr
+	return e.results[:e.committed], e.cellErr
 }
 
 // aggregate folds raw trial results (in trial-index order) into the

@@ -44,7 +44,7 @@ func TestRunCellsSubsetsMatchFullGrid(t *testing.T) {
 	partitions := [][]int{{4, 1}, {0, 5, 2}, {3}}
 	merged := make([]CellResult, len(full))
 	for _, part := range partitions {
-		sub, err := g.RunCells(context.Background(), part)
+		sub, err := g.RunCells(context.Background(), part, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +62,10 @@ func TestRunCellsSubsetsMatchFullGrid(t *testing.T) {
 
 func TestRunCellsRejectsOutOfRangeIndex(t *testing.T) {
 	g := planGrid()
-	if _, err := g.RunCells(context.Background(), []int{6}); err == nil {
+	if _, err := g.RunCells(context.Background(), []int{6}, nil); err == nil {
 		t.Fatal("index past the enumeration accepted")
 	}
-	if _, err := g.RunCells(context.Background(), []int{-1}); err == nil {
+	if _, err := g.RunCells(context.Background(), []int{-1}, nil); err == nil {
 		t.Fatal("negative index accepted")
 	}
 }
@@ -128,11 +128,11 @@ func TestPlanCellsKeysMatchCheckpoints(t *testing.T) {
 }
 
 // TestReplanAllocatesLittle pins that planning is paid once per System:
-// a cluster worker replans the whole grid for every lease it serves, so
-// a second PlanCells of the benchmark's cluster grid (median and
-// checksum x model C x sigma 0, 0.010 x 720..820 MHz, 24 cells) on one
-// warm System must allocate under 256 KiB — the cell keys, not a
-// rebuild of either program for its digest.
+// a cluster coordinator plans every job it runs, so a second PlanCells
+// of the benchmark's cluster grid (median and checksum x model C x
+// sigma 0, 0.010 x 720..820 MHz, 24 cells) on one warm System must
+// allocate under 256 KiB — the cell keys, not a rebuild of either
+// program for its digest.
 func TestReplanAllocatesLittle(t *testing.T) {
 	g := Grid{
 		Spec: Spec{

@@ -279,7 +279,7 @@ func TestQualitySubsetMergeMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subset, err := grid.RunCells(t.Context(), []int{2, 0})
+	subset, err := grid.RunCells(t.Context(), []int{2, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,19 @@ var surfaceExceptions = map[string]string{
 	"repro/internal/isa.Instr.String":          "assembly-syntax renderer; asm's disassembly round-trip and fuzz tests print through it",
 }
 
+// testSupportPkgs are the packages under internal/ that serve tests
+// only, each with the reason: no binary links them, and their functions
+// are not checked one by one.
+var testSupportPkgs = map[string]string{
+	"repro/internal/loadgen":  "open-loop traffic harness and HTTP fault proxy; TestSaturationSLO and the client retry tests drive fisimd through it",
+	"repro/internal/leaktest": "goroutine-leak assertion shared by the engine, daemon and cluster tests",
+}
+
 // TestProductionSurfaceIsLinked fails for every function declared in a
 // non-test file under internal/ that no binary of the repository links:
 // such code is test scaffolding and belongs in a _test.go file, or is
-// dead and belongs nowhere. The binaries are every main package under
+// dead and belongs nowhere. A package no binary links at all must be
+// named in testSupportPkgs. The binaries are every main package under
 // cmd/ and examples/ plus the benchmark module, built without inlining
 // so that every called function keeps its own linker symbol; the linker's
 // -dumpdep edge list is then the set of reachable symbols.
@@ -48,8 +57,15 @@ func TestProductionSurfaceIsLinked(t *testing.T) {
 		}
 	}
 	var dead []string
+	unlinkedPkgs := map[string]bool{}
 	for sym := range declared {
-		if linked[sym] || !linkedPkgs[symbolPackage(sym)] {
+		if pkg := symbolPackage(sym); !linkedPkgs[pkg] {
+			if _, ok := testSupportPkgs[pkg]; !ok {
+				unlinkedPkgs[pkg] = true
+			}
+			continue
+		}
+		if linked[sym] {
 			continue
 		}
 		if _, ok := surfaceExceptions[sym]; ok {
@@ -60,6 +76,16 @@ func TestProductionSurfaceIsLinked(t *testing.T) {
 	sort.Strings(dead)
 	for _, sym := range dead {
 		t.Errorf("%s (%s) is linked by no binary: move it into a _test.go file or delete it", sym, declared[sym])
+	}
+	for pkg := range unlinkedPkgs {
+		t.Errorf("package %s is linked by no binary: name it in testSupportPkgs with a reason, or delete it", pkg)
+	}
+	for pkg := range testSupportPkgs {
+		if _, err := os.Stat(strings.TrimPrefix(pkg, "repro/")); err != nil {
+			t.Errorf("test-support package %s does not exist: %v", pkg, err)
+		} else if linkedPkgs[pkg] {
+			t.Errorf("test-support package %s is linked; drop it from the table", pkg)
+		}
 	}
 	for sym := range surfaceExceptions {
 		if _, ok := declared[sym]; !ok {
