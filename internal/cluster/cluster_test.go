@@ -231,11 +231,15 @@ func TestCoordinatorCancelLeaksNoGoroutines(t *testing.T) {
 // abortingWorker wraps a worker handler: the first lease stream is cut
 // (connection abort) right after the first cell event reaches the wire,
 // and every later lease is refused outright — the shape of a node dying
-// mid-grid and staying down.
+// mid-grid and staying down. redialed closes at the first refused
+// lease, so a test can hold other workers until the coordinator has
+// requeued the cut lease and handed this node its next one.
 type abortingWorker struct {
 	inner    http.Handler
 	leases   atomic.Int32
 	refusing atomic.Bool
+	redialed chan struct{}
+	once     sync.Once
 }
 
 func (a *abortingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -244,12 +248,33 @@ func (a *abortingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if a.refusing.Load() {
+		a.once.Do(func() { close(a.redialed) })
 		http.Error(w, `{"error":"dying"}`, http.StatusServiceUnavailable)
 		return
 	}
 	a.leases.Add(1)
 	a.refusing.Store(true)
 	a.inner.ServeHTTP(&abortAfterCell{ResponseWriter: w}, r)
+}
+
+// gatedWorker holds a worker's first lease until open closes. While it
+// waits, that lease is in flight, so the worker's pull loop can neither
+// steal from another lease nor take requeued cells.
+type gatedWorker struct {
+	inner http.Handler
+	open  <-chan struct{}
+	held  atomic.Bool
+}
+
+func (g *gatedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/lease") && g.held.CompareAndSwap(false, true) {
+		select {
+		case <-g.open:
+		case <-r.Context().Done():
+			return
+		}
+	}
+	g.inner.ServeHTTP(w, r)
 }
 
 // abortAfterCell panics the handler (aborting the connection) once a
@@ -280,14 +305,20 @@ func (a *abortAfterCell) Flush() {
 // and the surviving worker finishes the job with results bit-identical
 // to the single-node run. Once both servers close, every goroutine the
 // job started — the cut lease stream included — has exited.
+//
+// The good worker's first lease is held until the dying node is
+// refused its next lease. Until then the good worker cannot steal the
+// cut lease's tail, so the cut requeues cells; and by then the dying
+// node holds a lease no one can finish but a retry, so the job cannot
+// end before the node is retired.
 func TestWorkerLossFailover(t *testing.T) {
 	spec := gridSpec(13)
 	want := csvOf(t, runBackend(t, server.GridBackend{System: system()}, spec))
 
 	base := runtime.NumGoroutine()
-	good := httptest.NewServer((&Worker{System: system()}).Handler())
+	dying := &abortingWorker{inner: (&Worker{System: system()}).Handler(), redialed: make(chan struct{})}
+	good := httptest.NewServer(&gatedWorker{inner: (&Worker{System: system()}).Handler(), open: dying.redialed})
 	defer good.Close()
-	dying := &abortingWorker{inner: (&Worker{System: system()}).Handler()}
 	ts := httptest.NewServer(dying)
 	defer ts.Close()
 

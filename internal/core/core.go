@@ -289,15 +289,19 @@ func (s *System) NewModel(spec ModelSpec) (fi.Model, error) {
 }
 
 // Golden is one cached fault-free reference execution of a benchmark on
-// this system: the assembled program, its verified output words, the
-// recorded golden trace with architectural checkpoints, and the
-// fi-facing query stream derived from the trace's ALU events. It is
-// immutable and shared across every Monte-Carlo trial of the benchmark.
+// this system: the assembled program, its verified output words, and the
+// recorded golden trace with architectural checkpoints, whose Events are
+// the fi-facing query stream. It is immutable and shared across every
+// Monte-Carlo trial of the benchmark.
 type Golden struct {
-	Prog    *asm.Program
-	Want    []uint32
-	Trace   *cpu.Trace
-	Queries []fi.TraceQuery
+	Prog  *asm.Program
+	Want  []uint32
+	Trace *cpu.Trace
+	// Queries is Trace.Events itself, the same backing array, not a
+	// copy. It is kept only because the benchmark harness
+	// (benchmark/probe.go) reads the query stream under this name; code
+	// in this module reads Trace.Events.
+	Queries []cpu.TraceEvent
 }
 
 // goldenKey identifies a cached golden trace. The CPU timing config —
@@ -389,19 +393,7 @@ func decodeGolden(b *bench.Benchmark, inputSeed int64, payload []byte) (*Golden,
 	if err != nil {
 		return nil, false
 	}
-	return &Golden{Prog: p, Want: want, Trace: tr, Queries: queriesOf(tr)}, true
-}
-
-// queriesOf derives the fi-facing query stream from a trace's ALU events.
-func queriesOf(tr *cpu.Trace) []fi.TraceQuery {
-	qs := make([]fi.TraceQuery, len(tr.Events))
-	for i, ev := range tr.Events {
-		qs[i] = fi.TraceQuery{
-			Op: ev.Op, Result: ev.Result, Prev: ev.Prev,
-			Flag: ev.Flag, PrevFlag: ev.PrevFlag,
-		}
-	}
-	return qs
+	return &Golden{Prog: p, Want: want, Trace: tr, Queries: tr.Events}, true
 }
 
 // GoldenRun executes the benchmark fault-free without caching or trace
@@ -417,14 +409,14 @@ func (s *System) GoldenRun(b *bench.Benchmark, inputSeed int64) (*asm.Program, [
 	return g.Prog, g.Want, cycles, nil
 }
 
-// recordGolden executes the benchmark fault-free with trace recording
-// and derives the fi-facing query stream.
+// recordGolden executes the benchmark fault-free with trace recording;
+// the trace's events are the query stream.
 func (s *System) recordGolden(b *bench.Benchmark, inputSeed int64) (*Golden, error) {
 	g, _, err := s.execGolden(b, inputSeed, true)
 	if err != nil {
 		return nil, err
 	}
-	g.Queries = queriesOf(g.Trace)
+	g.Queries = g.Trace.Events
 	return g, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/cpu"
@@ -209,12 +210,25 @@ func TestGoldenCache(t *testing.T) {
 		t.Errorf("query stream has %d entries, trace %d events over %d kernel ALU cycles",
 			len(a.Queries), len(a.Trace.Events), a.Trace.KernelALUCycles)
 	}
+	if !queriesAreEvents(a) {
+		t.Errorf("recorded golden's query stream is a copy of its trace events")
+	}
+	if n := unsafe.Sizeof(cpu.TraceEvent{}); n != 12 {
+		t.Errorf("cpu.TraceEvent is %d bytes, want 12", n)
+	}
 	if len(a.Trace.Checkpoints) == 0 || a.Trace.Checkpoints[0].Cycles != 0 {
 		t.Errorf("golden trace missing the reset checkpoint")
 	}
 	if _, err := s.Golden(bench.MicroAdd32(), 42); err == nil {
 		t.Errorf("per-trial-input benchmark accepted by the golden cache")
 	}
+}
+
+// queriesAreEvents reports whether g's query stream is its trace's
+// event slice itself: one backing array, same length and capacity.
+func queriesAreEvents(g *Golden) bool {
+	return len(g.Queries) == len(g.Trace.Events) && cap(g.Queries) == cap(g.Trace.Events) &&
+		unsafe.SliceData(g.Queries) == unsafe.SliceData(g.Trace.Events)
 }
 
 // TestGoldenCacheConcurrent hammers one key from many goroutines; the

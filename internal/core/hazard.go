@@ -57,9 +57,9 @@ func (s *System) Hazard(b *bench.Benchmark, inputSeed int64, spec ModelSpec) (*f
 		func() (string, error) { return s.hazardStoreKey(b, inputSeed, spec) },
 		func(payload []byte) (*fi.Hazard, bool) {
 			h, err := decodeHazard(payload)
-			return h, err == nil && h.Queries() == len(g.Queries)
+			return h, err == nil && h.Queries() == len(g.Trace.Events)
 		},
-		func() (*fi.Hazard, error) { return fi.BuildHazard(hm, g.Queries), nil })
+		func() (*fi.Hazard, error) { return fi.BuildHazard(hm, g.Trace.Events), nil })
 }
 
 // hazardStoreKey spells out every input the table depends on: the full

@@ -74,6 +74,9 @@ func TestGoldenTraceStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(g1.Queries, g2.Queries) {
 		t.Error("derived query stream drifted")
 	}
+	if !queriesAreEvents(g2) {
+		t.Error("store-loaded golden's query stream is a copy of its trace events")
+	}
 	if !reflect.DeepEqual(g1.Want, g2.Want) {
 		t.Error("rebuilt golden outputs drifted")
 	}
@@ -203,53 +206,63 @@ func TestHazardStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// A pre-delta-codec cache holding a gob-encoded trace is a miss: the
-// loader decodes only the delta format, so the golden is re-recorded
-// (bit-identical to the fresh one) and the blob overwritten with the
-// delta encoding.
+// A cache written by an older trace format is a miss: a gob-encoded
+// trace (from before the delta codec) or a delta blob of the first
+// format, whose events still carried operand fields. The loader decodes
+// only the current format, so the golden is re-recorded (bit-identical
+// to the fresh one) and the blob overwritten in the current encoding.
 func TestGoldenLegacyGobPayloadRerecords(t *testing.T) {
-	st, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := bench.Median()
-	cold := newStoreTestSystem(t, st)
-	g1, err := cold.Golden(b, 42)
-	if err != nil {
-		t.Fatal(err)
+	legacy := map[string]func(g *Golden) ([]byte, error){
+		"gob": func(g *Golden) ([]byte, error) { return artifact.EncodeGob(g.Trace) },
+		"FTRD1": func(g *Golden) ([]byte, error) {
+			blob, err := cpu.EncodeTrace(g.Trace)
+			return append([]byte("FTRD1"), blob[len("FTRD2"):]...), err
+		},
 	}
+	for name, encode := range legacy {
+		st, err := artifact.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := newStoreTestSystem(t, st)
+		g1, err := cold.Golden(b, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Overwrite the stored payload with the legacy gob encoding.
-	key, err := cold.goldenStoreKey(b, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := artifact.EncodeGob(g1.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(artifact.KindGoldenTrace, key, blob); err != nil {
-		t.Fatal(err)
-	}
+		// Overwrite the stored payload with the legacy encoding.
+		key, err := cold.goldenStoreKey(b, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := encode(g1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(artifact.KindGoldenTrace, key, blob); err != nil {
+			t.Fatal(err)
+		}
 
-	warm := newStoreTestSystem(t, st)
-	g2, err := warm.Golden(b, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.GoldenRecordedCount() != 1 || warm.goldens.Loaded() != 0 {
-		t.Fatalf("legacy payload not re-recorded: recorded %d, loaded %d",
-			warm.GoldenRecordedCount(), warm.goldens.Loaded())
-	}
-	if !reflect.DeepEqual(g1.Trace, g2.Trace) {
-		t.Error("re-recorded trace differs from the fresh one")
-	}
-	payload, ok, err := st.Get(artifact.KindGoldenTrace, key)
-	if err != nil || !ok {
-		t.Fatalf("re-recorded golden not stored: ok=%v err=%v", ok, err)
-	}
-	if _, err := cpu.DecodeTrace(payload); err != nil {
-		t.Errorf("overwritten blob is not delta-encoded: %v", err)
+		warm := newStoreTestSystem(t, st)
+		g2, err := warm.Golden(b, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.GoldenRecordedCount() != 1 || warm.goldens.Loaded() != 0 {
+			t.Fatalf("%s payload not re-recorded: recorded %d, loaded %d",
+				name, warm.GoldenRecordedCount(), warm.goldens.Loaded())
+		}
+		if !reflect.DeepEqual(g1.Trace, g2.Trace) {
+			t.Errorf("%s: re-recorded trace differs from the fresh one", name)
+		}
+		payload, ok, err := st.Get(artifact.KindGoldenTrace, key)
+		if err != nil || !ok {
+			t.Fatalf("%s: re-recorded golden not stored: ok=%v err=%v", name, ok, err)
+		}
+		if _, err := cpu.DecodeTrace(payload); err != nil {
+			t.Errorf("%s: overwritten blob is not in the current format: %v", name, err)
+		}
 	}
 }
 

@@ -355,8 +355,7 @@ func (c *CPU) step() {
 			c.KernelALUCycles++
 			if c.trace != nil {
 				c.trace.Events = append(c.trace.Events, TraceEvent{
-					Op: in.Op, A: ra, B: rb, RD: in.RD,
-					Result: result, Prev: c.prevEXResult,
+					Result: result, Prev: c.prevEXResult, Op: in.Op,
 					Flag: flag, PrevFlag: c.prevFlag,
 				})
 			}

@@ -1,16 +1,16 @@
 // Golden-trace recording and checkpoint/restore.
 //
 // One fault-free execution per (program, timing config) can be recorded
-// as a Trace: the per-cycle ALU activity that the fault-injection models
-// consume (instruction, operands, result, write-back target, and the EX
-// endpoint latch values), the data-memory store log, and periodic
-// architectural checkpoints. A Monte-Carlo trial can then be decided
-// against the trace alone — below the point of first failure the vast
-// majority of trials never flip a bit and are bit-for-bit the golden
-// run — and, when a fault does fire, full simulation resumes from the
-// nearest checkpoint via Restore instead of from the reset vector. The
-// replay machinery on top of this lives in internal/fi (trace-driven
-// injector queries) and internal/mc (trial dispatch).
+// as a Trace: the injector query of every FI-eligible ALU cycle (the op
+// and the EX endpoint values the fault-injection models consume), the
+// data-memory store log, and periodic architectural checkpoints. A
+// Monte-Carlo trial can then be decided against the trace alone — below
+// the point of first failure the vast majority of trials never flip a
+// bit and are bit-for-bit the golden run — and, when a fault does fire,
+// full simulation resumes from the nearest checkpoint via Restore
+// instead of from the reset vector. The replay machinery on top of this
+// lives in internal/fi (which reads the events directly as its query
+// stream) and internal/mc (trial dispatch).
 
 package cpu
 
@@ -28,20 +28,17 @@ import (
 // error next to the recorded ALU events.
 const DefaultCheckpointInterval = 4096
 
-// TraceEvent records one FI-eligible ALU cycle of a golden run: the
-// instruction in EX, its operand and result values, the write-back
-// target, and the EX endpoint latch values of the previous cycle. The
-// (Op, Result, Prev, Flag, PrevFlag) tuple is exactly the argument list
-// the core hands to Injector.Inject on that cycle; A, B and RD are not
-// consumed by the injection models and exist for trace-fidelity tests
-// and offline trace inspection.
+// TraceEvent records one FI-eligible ALU cycle of a golden run: exactly
+// the arguments the core hands to Injector.Inject on that cycle — the
+// op in EX, its fault-free result and flag, and the EX endpoint latch
+// values of the previous cycle. It is the one query record from the
+// recorder through internal/fi's hazard fold and first-fault draw; the
+// field order packs it into 12 bytes.
 type TraceEvent struct {
-	Op             isa.Op
-	A, B           uint32 // operand values read in EX
-	RD             uint8  // write-back register (0 for compares)
 	Result         uint32 // fault-free ALU result
 	Prev           uint32 // EX result latch before this cycle
-	Flag, PrevFlag bool   // fault-free flag outcome and its latch
+	Op             isa.Op
+	Flag, PrevFlag bool // fault-free flag outcome and its latch
 }
 
 // StoreRec records one architectural data-memory store (address, access

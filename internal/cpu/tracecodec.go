@@ -2,14 +2,17 @@
 //
 // A recorded Trace is dominated by its ALU event stream, whose fields
 // are highly redundant: Prev almost always chains from the previous
-// event's Result, Result is usually near operand A, store addresses
-// walk small strides, and checkpoints are snapshots of monotonically
-// growing counters. EncodeTrace exploits all of that with a
-// varint/zigzag delta encoding plus a DEFLATE pass, shrinking persisted
-// golden traces by well over the 2x the artifact-store tests pin,
-// while DecodeTrace round-trips bit-exactly. internal/core stores
-// encoded traces under the same artifact key as the legacy gob blobs;
-// a payload without the magic prefix is a miss and is re-recorded.
+// event's Result, store addresses walk small strides, and checkpoints
+// are snapshots of monotonically growing counters. EncodeTrace exploits
+// that with a varint/zigzag delta encoding plus a DEFLATE pass,
+// shrinking persisted golden traces by well over the 2x the
+// artifact-store tests pin, while DecodeTrace round-trips bit-exactly.
+// The magic prefix is the format version: internal/core keeps one
+// artifact key across versions, so a payload without the current magic
+// (an older format or a gob blob) is a miss and is re-recorded.
+// DecodeTrace is total: a corrupt payload yields an error, never a
+// panic, and never an allocation larger than its inflated body could
+// describe.
 
 package cpu
 
@@ -23,9 +26,25 @@ import (
 	"repro/internal/isa"
 )
 
-// traceMagic prefixes delta-encoded traces; legacy gob payloads start
-// with a gob type descriptor and can never collide with it.
-const traceMagic = "FTRD1"
+// traceMagic prefixes delta-encoded traces and names their format
+// version: a blob of another version (FTRD1 events also carried
+// operands) fails to decode, and gob payloads start with a gob type
+// descriptor and can never collide with it.
+const traceMagic = "FTRD2"
+
+// Minimum encoded record sizes, which bound the counts a header may
+// claim: an event is two header bytes and a Result varint; a store a
+// size byte and two varints; a checkpoint one varint per counter, op
+// count, register mask, PC and PrevEXResult, and two flag bytes.
+const minEventBytes, minStoreBytes, minCkptBytes = 3, 3, 8 + uint64(isa.NumOps) + 3 + 2
+
+// bit is 1 for true, 0 for false: the codec's flag-packing unit.
+func bit(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
 
 // EncodeTrace serializes a trace into the delta format.
 func EncodeTrace(t *Trace) ([]byte, error) {
@@ -48,22 +67,9 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 
 	prevResult, chainSeeded := uint32(0), false
 	for _, ev := range t.Events {
-		b0 := byte(ev.Op) & 0x3f
 		chained := chainSeeded && ev.Prev == prevResult
-		if chained {
-			b0 |= 1 << 6
-		}
-		b1 := ev.RD & 0x1f
-		if ev.Flag {
-			b1 |= 1 << 5
-		}
-		if ev.PrevFlag {
-			b1 |= 1 << 6
-		}
-		body = append(body, b0, b1)
-		put(uint64(ev.A))
-		put(uint64(ev.B))
-		puts(int64(int32(ev.Result - ev.A)))
+		body = append(body, byte(ev.Op)&0x3f|bit(chained)<<6, bit(ev.Flag)|bit(ev.PrevFlag)<<1)
+		put(uint64(ev.Result))
 		if !chained {
 			put(uint64(ev.Prev))
 		}
@@ -105,19 +111,7 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 		}
 		put(uint64(cp.PC))
 		put(uint64(cp.PrevEXResult))
-		var fl byte
-		if cp.Flag {
-			fl |= 1
-		}
-		if cp.PrevFlag {
-			fl |= 2
-		}
-		if cp.LastWasLoad {
-			fl |= 4
-		}
-		if cp.InWindow {
-			fl |= 8
-		}
+		fl := bit(cp.Flag) | bit(cp.PrevFlag)<<1 | bit(cp.LastWasLoad)<<2 | bit(cp.InWindow)<<3
 		body = append(body, fl, cp.LastLoadRD)
 		prev = cp
 	}
@@ -138,8 +132,10 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 }
 
 // DecodeTrace parses a delta-encoded trace. Payloads without the magic
-// prefix (or any truncated/corrupt body) yield an error; callers treat
-// that as a cache miss.
+// prefix, truncated or corrupt bodies, counts the body cannot hold,
+// events whose op is not an ALU op, and checkpoints whose event or
+// store index runs backwards or past its log all yield an error;
+// callers treat that as a cache miss.
 func DecodeTrace(b []byte) (*Trace, error) {
 	if len(b) < len(traceMagic) || string(b[:len(traceMagic)]) != traceMagic {
 		return nil, fmt.Errorf("cpu: not a delta-encoded trace")
@@ -183,25 +179,28 @@ func DecodeTrace(b []byte) (*Trace, error) {
 	if firstErr != nil {
 		return nil, fmt.Errorf("cpu: truncated trace header: %w", firstErr)
 	}
-	const maxCount = 1 << 30 // sanity bound against corrupt headers
-	if nEvents > maxCount || nStores > maxCount || nCkpts > maxCount {
-		return nil, fmt.Errorf("cpu: implausible trace counts %d/%d/%d", nEvents, nStores, nCkpts)
+	// Each count is checked against the body before the products are
+	// formed, so the sum cannot overflow.
+	left := uint64(r.Len())
+	if nEvents > left || nStores > left || nCkpts > left ||
+		nEvents*minEventBytes+nStores*minStoreBytes+nCkpts*minCkptBytes > left {
+		return nil, fmt.Errorf("cpu: trace counts %d/%d/%d exceed a %d-byte body", nEvents, nStores, nCkpts, left)
 	}
 
 	if nEvents > 0 {
 		t.Events = make([]TraceEvent, nEvents)
 	}
 	prevResult := uint32(0)
-	for i := range t.Events {
+	for i := 0; i < len(t.Events) && firstErr == nil; i++ {
 		b0, b1 := getb(), getb()
 		ev := &t.Events[i]
 		ev.Op = isa.Op(b0 & 0x3f)
-		ev.RD = b1 & 0x1f
-		ev.Flag = b1&(1<<5) != 0
-		ev.PrevFlag = b1&(1<<6) != 0
-		ev.A = uint32(get())
-		ev.B = uint32(get())
-		ev.Result = ev.A + uint32(gets())
+		if !isa.IsALU(ev.Op) && firstErr == nil {
+			return nil, fmt.Errorf("cpu: trace event %d: op %d is not an ALU op", i, ev.Op)
+		}
+		ev.Flag = b1&1 != 0
+		ev.PrevFlag = b1&2 != 0
+		ev.Result = uint32(get())
 		if b0&(1<<6) != 0 {
 			ev.Prev = prevResult
 		} else {
@@ -214,7 +213,7 @@ func DecodeTrace(b []byte) (*Trace, error) {
 		t.Stores = make([]StoreRec, nStores)
 	}
 	prevAddr := uint32(0)
-	for i := range t.Stores {
+	for i := 0; i < len(t.Stores) && firstErr == nil; i++ {
 		s := &t.Stores[i]
 		s.Size = getb()
 		s.Addr = prevAddr + uint32(gets())
@@ -226,14 +225,18 @@ func DecodeTrace(b []byte) (*Trace, error) {
 		t.Checkpoints = make([]Checkpoint, nCkpts)
 	}
 	var prev Checkpoint
-	for i := range t.Checkpoints {
+	for i := 0; i < len(t.Checkpoints) && firstErr == nil; i++ {
 		cp := &t.Checkpoints[i]
 		cp.Cycles = prev.Cycles + get()
 		cp.KernelCycles = prev.KernelCycles + get()
 		cp.KernelALUCycles = prev.KernelALUCycles + get()
 		cp.Retired = prev.Retired + get()
-		cp.EventIndex = prev.EventIndex + int(get())
-		cp.StoreIndex = prev.StoreIndex + int(get())
+		dEvents, dStores := get(), get()
+		if dEvents > uint64(len(t.Events)-prev.EventIndex) || dStores > uint64(len(t.Stores)-prev.StoreIndex) {
+			return nil, fmt.Errorf("cpu: trace checkpoint %d: event/store index past its log", i)
+		}
+		cp.EventIndex = prev.EventIndex + int(dEvents)
+		cp.StoreIndex = prev.StoreIndex + int(dStores)
 		cp.Loads = prev.Loads + get()
 		cp.Stores = prev.Stores + get()
 		for j := range cp.OpCounts {

@@ -10,11 +10,11 @@
 //
 // A Model is immutable and shareable; NewTrial binds it to a
 // trial-private RNG stream, producing an injector compatible with the
-// cpu.Injector interface (matched structurally, so the packages stay
-// decoupled).
+// cpu.Injector interface (matched structurally, so cpu need not import
+// fi).
 //
-// In the dependency graph, fi depends on circuit/dta/timing/stats;
-// core instantiates and caches its models, cpu calls the injectors
+// In the dependency graph, fi depends on circuit/dta/timing/stats, and
+// on cpu only for the golden trace's query record (cpu.TraceEvent); core instantiates and caches its models, cpu calls the injectors
 // cycle by cycle, and mc drives the trace-scan (replay.go) and
 // first-fault sampling (hazard.go) fast paths built from them.
 package fi

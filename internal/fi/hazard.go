@@ -26,6 +26,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -71,7 +72,7 @@ type Hazard struct {
 // order never changes). Summation is Kahan-compensated so the array
 // matches the brute-force product of per-query survival probabilities
 // to ~1e-14 even over long traces.
-func BuildHazard(m HazardModel, qs []TraceQuery) *Hazard {
+func BuildHazard(m HazardModel, qs []cpu.TraceEvent) *Hazard {
 	h := &Hazard{
 		PerOp:   make([]float64, isa.NumOps),
 		LogSurv: make([]float64, len(qs)+1),
@@ -137,7 +138,7 @@ func (h *Hazard) SampleIndex(rng *rand.Rand) (int, bool) {
 // returned Fork plugs into cpu's CPU.ForkFrom or NewForkInjector
 // exactly like a ScanTrace fork; qs must be the stream h was built
 // over.
-func FirstFault(m HazardModel, h *Hazard, rng *rand.Rand, qs []TraceQuery) (Fork, bool) {
+func FirstFault(m HazardModel, h *Hazard, rng *rand.Rand, qs []cpu.TraceEvent) (Fork, bool) {
 	i, ok := h.SampleIndex(rng)
 	if !ok {
 		return Fork{}, false
@@ -169,7 +170,7 @@ type BatchFork struct {
 // the golden run). The returned forks are sorted by (Query, Trial) —
 // the restore order the batched executor wants, with equal fork points
 // adjacent so a group shares one checkpoint image.
-func FirstFaultBatch(m HazardModel, h *Hazard, rngs []*rand.Rand, qs []TraceQuery) []BatchFork {
+func FirstFaultBatch(m HazardModel, h *Hazard, rngs []*rand.Rand, qs []cpu.TraceEvent) []BatchFork {
 	n := len(h.LogSurv) - 1
 	type draw struct {
 		trial int

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/cpu"
 	"repro/internal/dta"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -38,15 +39,15 @@ func hazardModels(t *testing.T, sem Semantics, sampling Sampling) map[string]Haz
 // hazardQueries synthesizes a query stream cycling through a mix of ALU
 // ops (arithmetic, logic, shift, compare) so every characterization
 // table and the flag endpoint participate.
-func hazardQueries(n int) []TraceQuery {
+func hazardQueries(n int) []cpu.TraceEvent {
 	ops := []isa.Op{
 		isa.OpAdd, isa.OpMul, isa.OpXor, isa.OpSll,
 		isa.OpSfeq, isa.OpAddi, isa.OpSub, isa.OpSfgtu,
 	}
 	rng := stats.NewRand(17)
-	qs := make([]TraceQuery, n)
+	qs := make([]cpu.TraceEvent, n)
 	for i := range qs {
-		qs[i] = TraceQuery{
+		qs[i] = cpu.TraceEvent{
 			Op:     ops[i%len(ops)],
 			Result: rng.Uint32(), Prev: rng.Uint32(),
 			Flag: rng.Intn(2) == 0, PrevFlag: rng.Intn(2) == 0,

@@ -3,28 +3,23 @@
 // All four models decide injection from exactly the tuple cpu passes to
 // Inject on an FI-eligible ALU cycle — (op, result, previous EX latch,
 // flag, previous flag latch) — and from their trial RNG. A fault-free
-// execution recorded as a stream of those tuples (internal/cpu's Trace)
-// can therefore stand in for full simulation: ScanTrace drives a trial's
-// injector over the recorded stream, consuming the RNG exactly as a full
-// run would, until the first query that actually flips an endpoint bit.
-// Below that query the trial is bit-for-bit the golden run; from it,
-// full simulation resumes. The production path forks from a golden
-// walker paused at that query (cpu's CPU.ForkFrom forces the recorded
-// corrupted capture, then binds the trial injector); the test oracles
-// instead restore a checkpoint with a NewForkInjector that bridges the
-// already-consumed prefix.
+// execution recorded as a stream of those tuples (the Events of
+// internal/cpu's Trace, one per query) can therefore stand in for full
+// simulation: ScanTrace drives a trial's injector over the recorded
+// stream, consuming the RNG exactly as a full run would, until the
+// first query that actually flips an endpoint bit. Below that query the
+// trial is bit-for-bit the golden run; from it, full simulation
+// resumes. The production path forks from a golden walker paused at
+// that query (cpu's CPU.ForkFrom forces the recorded corrupted capture,
+// then binds the trial injector); the test oracles instead restore a
+// checkpoint with a NewForkInjector that bridges the already-consumed
+// prefix.
 package fi
 
-import "repro/internal/isa"
-
-// TraceQuery is one recorded injector query of a fault-free execution:
-// exactly the arguments the core hands to Inject on an FI-eligible ALU
-// cycle.
-type TraceQuery struct {
-	Op             isa.Op
-	Result, Prev   uint32
-	Flag, PrevFlag bool
-}
+import (
+	"repro/internal/cpu"
+	"repro/internal/isa"
+)
 
 // Fork describes the first injection ScanTrace found: the query index at
 // which the injector flipped at least one endpoint bit, and the
@@ -41,7 +36,7 @@ type Fork struct {
 // RNG advances exactly as a full execution would through that query; ok
 // is false when the whole stream stays fault-free (the trial is the
 // golden run).
-func ScanTrace(inj Injector, qs []TraceQuery) (fork Fork, ok bool) {
+func ScanTrace(inj Injector, qs []cpu.TraceEvent) (fork Fork, ok bool) {
 	for i := range qs {
 		q := &qs[i]
 		out, outFlag, flipped := inj.Inject(q.Op, q.Result, q.Prev, q.Flag, q.PrevFlag)

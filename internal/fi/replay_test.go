@@ -3,6 +3,7 @@ package fi
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
@@ -24,10 +25,10 @@ func (s *scriptInjector) Inject(op isa.Op, r, prev uint32, f, pf bool) (uint32, 
 	return r, f, 0
 }
 
-func queries(n int) []TraceQuery {
-	qs := make([]TraceQuery, n)
+func queries(n int) []cpu.TraceEvent {
+	qs := make([]cpu.TraceEvent, n)
 	for i := range qs {
-		qs[i] = TraceQuery{Op: isa.OpAdd, Result: uint32(i), Prev: uint32(i) - 1}
+		qs[i] = cpu.TraceEvent{Op: isa.OpAdd, Result: uint32(i), Prev: uint32(i) - 1}
 	}
 	return qs
 }

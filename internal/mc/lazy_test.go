@@ -29,7 +29,7 @@ func TestColdFaultFreeGridCharacterizesTraceKeysOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys := map[dta.Key]bool{}
-		for _, q := range g.Queries {
+		for _, q := range g.Trace.Events {
 			keys[dta.KeyFor(q.Op, b.Profile)] = true
 		}
 		all := map[dta.Key]bool{}

@@ -637,7 +637,7 @@ func (e *engine) plan(p *pointState, from, to int) {
 		trs[i] = stats.NewTrial(stats.SubSeed(e.s.Seed, from+i))
 		rngs[i] = trs[i].Rand
 	}
-	forks := fi.FirstFaultBatch(p.hazModel, p.hazard, rngs, ctx.golden.Queries)
+	forks := fi.FirstFaultBatch(p.hazModel, p.hazard, rngs, ctx.golden.Trace.Events)
 
 	faulted := make([]bool, to-from)
 	for _, bf := range forks {

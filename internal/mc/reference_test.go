@@ -179,9 +179,9 @@ func refTrial(e *engine, k refKernel, m *mem.Memory, p *pointState, ti int) tria
 		return refTrialFull(e, m, p, ti, rng)
 	case refScan:
 		inj = p.model.NewTrial(rng)
-		fork, faulted = fi.ScanTrace(inj, ctx.golden.Queries)
+		fork, faulted = fi.ScanTrace(inj, ctx.golden.Trace.Events)
 	case refFirstFault:
-		fork, faulted = fi.FirstFault(p.hazModel, p.hazard, rng.Rand, ctx.golden.Queries)
+		fork, faulted = fi.FirstFault(p.hazModel, p.hazard, rng.Rand, ctx.golden.Trace.Events)
 		inj = p.hazModel.NewTrial(rng)
 	}
 	if !faulted {

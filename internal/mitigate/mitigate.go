@@ -26,6 +26,7 @@ package mitigate
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/fi"
 	"repro/internal/mc"
 	"repro/internal/power"
@@ -136,7 +137,7 @@ func EnergyPerCyclePJ(pm power.Model, vdd, fMHz float64) float64 {
 // per-op detection code has to cover; the brute-force equivalent (sum
 // h.PerOp[q.Op] over every query) agrees to float summation order,
 // pinned by the package tests.
-func DetectionMass(h *fi.Hazard, qs []fi.TraceQuery) (perOp []float64, total float64) {
+func DetectionMass(h *fi.Hazard, qs []cpu.TraceEvent) (perOp []float64, total float64) {
 	counts := make([]float64, len(h.PerOp))
 	for i := range qs {
 		counts[qs[i].Op]++
@@ -193,7 +194,7 @@ func expectedFaults(sys *core.System, inputSeed int64, c mc.CellResult) (float64
 	if err != nil {
 		return fallback, false
 	}
-	_, total := DetectionMass(h, g.Queries)
+	_, total := DetectionMass(h, g.Trace.Events)
 	return total, true
 }
 

@@ -96,13 +96,13 @@ func TestDetectionMassMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perOp, total := DetectionMass(h, g.Queries)
+	perOp, total := DetectionMass(h, g.Trace.Events)
 	if total <= 0 {
 		t.Fatal("no error mass at a faulting operating point")
 	}
 	var brute float64
-	for i := range g.Queries {
-		brute += h.PerOp[g.Queries[i].Op]
+	for _, ev := range g.Trace.Events {
+		brute += h.PerOp[ev.Op]
 	}
 	if rel := math.Abs(total-brute) / brute; rel > 1e-12 {
 		t.Errorf("aggregated mass %v vs brute-force %v: relative error %v > 1e-12",
