@@ -36,7 +36,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 )
 
@@ -123,12 +122,11 @@ func header(kind, key string, version uint32) []byte {
 	return append(h, key...)
 }
 
-// encode frames a payload at an explicit version (tests use non-current
-// versions to pin the rejection path): the header, the payload's
-// SHA-256, then the payload.
-func encode(kind, key string, payload []byte, version uint32) []byte {
+// frame returns the bytes of a blob before its payload: the header at
+// the current Version, then the payload's SHA-256.
+func frame(kind, key string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	return slices.Concat(header(kind, key, version), sum[:], payload)
+	return append(header(kind, key, Version), sum[:]...)
 }
 
 // decode unframes a blob read for (kind, key), returning the payload as
@@ -155,16 +153,19 @@ func decode(blob []byte, kind, key string) (payload []byte, ok bool, err error) 
 // Put stores a payload under (kind, key), atomically replacing any
 // previous blob.
 func (s *Store) Put(kind, key string, payload []byte) error {
-	blob := encode(kind, key, payload, Version)
 	path := s.path(kind, key)
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
+	// The frame and the payload go out as two writes, so the payload is
+	// never copied into a blob-sized buffer.
+	for _, b := range [][]byte{frame(kind, key, payload), payload} {
+		if _, err := tmp.Write(b); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("artifact: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

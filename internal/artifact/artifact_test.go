@@ -2,11 +2,41 @@ package artifact
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 )
+
+// encode is a whole blob in one buffer, at an explicit version: the
+// header, the payload's SHA-256, then the payload.
+func encode(kind, key string, payload []byte, version uint32) []byte {
+	sum := sha256.Sum256(payload)
+	return slices.Concat(header(kind, key, version), sum[:], payload)
+}
+
+// TestPutWritesEncodedBlob: Put writes the frame and the payload
+// separately, and the file is byte for byte the one-buffer encoding.
+func TestPutWritesEncodedBlob(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{nil, {0}, bytes.Repeat([]byte{0xA5, 0x00, 0x7F}, 1<<16)} {
+		if err := st.Put("kind", "key|n=1", payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(st.path("kind", "key|n=1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encode("kind", "key|n=1", payload, Version); !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: Put wrote %d bytes that differ from the %d-byte encoding", len(payload), len(got), len(want))
+		}
+	}
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())

@@ -84,3 +84,47 @@ func TestCacheLoadOrBuild(t *testing.T) {
 		t.Error("memory-only Load hit")
 	}
 }
+
+// TestCacheLoadOrBuildKeepsNothing: LoadOrBuild loads or builds and
+// saves like Get and counts alike, but keeps no value: a second call
+// loads (or, without a store, builds) again, and Held sees only what a
+// successful Get built.
+func TestCacheLoadOrBuildKeepsNothing(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func() (string, error) { return "k", nil }
+	build := func() (int, error) { return 7, nil }
+	for _, store := range []*Store{nil, st} {
+		c := intCache(store)
+		for range 2 {
+			if v, err := c.LoadOrBuild(key, decodeBelow(100), build); err != nil || v != 7 {
+				t.Fatalf("store %v: LoadOrBuild = %d, %v", store != nil, v, err)
+			}
+		}
+		built, loaded := int64(2), int64(0)
+		if store != nil {
+			built, loaded = 1, 1
+		}
+		if c.Built() != built || c.Loaded() != loaded {
+			t.Errorf("store %v: built %d loaded %d, want %d and %d", store != nil, c.Built(), c.Loaded(), built, loaded)
+		}
+		if _, ok := c.Held("k"); ok {
+			t.Errorf("store %v: Held reported a value only LoadOrBuild made", store != nil)
+		}
+		c.Get("k", key, decodeBelow(100), build)
+		if v, ok := c.Held("k"); !ok || v != 7 {
+			t.Errorf("store %v: Held after Get = %d, %v", store != nil, v, ok)
+		}
+		c.Get("bad", key, decodeBelow(0), func() (int, error) { return 0, errors.New("boom") })
+		if _, ok := c.Held("bad"); ok {
+			t.Errorf("store %v: Held reported a failed Get", store != nil)
+		}
+	}
+	// One cold write, then hits: the second LoadOrBuild, the Get and the
+	// failed Get, whose decode rejects the blob.
+	if s := st.Stats(); s != (Stats{Hits: 3, Misses: 1, Puts: 1}) {
+		t.Errorf("store traffic %+v", s)
+	}
+}

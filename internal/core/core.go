@@ -64,11 +64,13 @@ func DefaultConfig() Config {
 
 // System is one instantiated simulation stack. Its configuration is
 // immutable after construction and it is safe for concurrent use:
-// characterizations cache inside Char, and instantiated fault models,
-// golden traces, hazard tables and program digests cache inside the
-// system itself, each in a singleflight memo.Map (see Model, Golden,
-// Hazard and BenchDigest); golden traces and hazard tables reach it
-// through an artifact.Cache, which puts the attached store behind it.
+// violation grids cache inside Char, beside only the raw
+// characterizations its At callers asked for (an independent-sampling
+// model C keeps none), and instantiated fault models, golden traces,
+// hazard tables and program digests cache inside the system itself,
+// each in a singleflight memo.Map (see Model, Golden, Hazard and
+// BenchDigest); golden traces and hazard tables reach it through an
+// artifact.Cache, which puts the attached store behind it.
 type System struct {
 	Cfg  Config
 	ALU  *circuit.ALU

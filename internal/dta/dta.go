@@ -391,12 +391,18 @@ type Config struct {
 // DefaultConfig returns the paper's characterization parameters.
 func DefaultConfig() Config { return Config{Cycles: 8192, Seed: 1} }
 
-// Characterizer runs and caches DTA characterizations for one ALU, and
-// the violation grids model C reads off them. Beyond the in-memory
-// caches, an attached artifact.Store persists both across processes: At
-// and GridAt consult the store before computing, so a warm cache
-// directory turns the most expensive phase of a cold run into a file
-// read, and a warm model C reads only grids.
+// Characterizer runs DTA characterizations for one ALU and caches the
+// violation grids model C reads off them. A raw characterization (a
+// 2.2 MB arrival matrix at the paper's 8192 cycles) stays in memory
+// only once At has returned it, for the callers that read arrivals:
+// joint sampling, cmd/characterize, the experiments and Prewarm. A
+// grid is counted from the matrix an At holds or is computing, and
+// otherwise from one loaded or simulated for that count alone and then
+// dropped; so a storeless At after GridAt of the same key simulates it
+// again. Beyond memory, an attached artifact.Store persists both
+// across processes: At and GridAt consult the store before computing,
+// so a warm cache directory turns the most expensive phase of a cold
+// run into a file read, and a warm model C reads only grids.
 type Characterizer struct {
 	ALU   *circuit.ALU
 	Model timing.VddDelay
@@ -435,7 +441,8 @@ func (c *Characterizer) SetStore(st *artifact.Store) { c.cache.Store, c.grids.St
 
 // ComputedCount reports how many characterizations this characterizer
 // actually simulated (as opposed to serving from memory or the store) —
-// the warm-start assertion of the artifact cache.
+// the warm-start assertion of the artifact cache. A key simulated for
+// a grid and again for a later At counts twice.
 func (c *Characterizer) ComputedCount() int64 { return c.cache.Built() }
 
 // LoadedCount reports how many characterizations were served from the
@@ -451,8 +458,9 @@ func (c *Characterizer) GridsBuilt() int64 { return c.grids.Built() }
 func (c *Characterizer) GridsLoaded() int64 { return c.grids.Loaded() }
 
 // At returns the characterization for a key at the given supply voltage,
-// computing it on first use. It is safe for concurrent use and distinct
-// keys characterize in parallel. The supply is rounded to the millivolt
+// computing it on first use and keeping it for the characterizer's
+// lifetime. It is safe for concurrent use and distinct keys
+// characterize in parallel. The supply is rounded to the millivolt
 // first: the memo key, the store key, the operand seed and the
 // simulation all see the same voltage, so no answer depends on which
 // nearby supply asked first.
@@ -461,34 +469,47 @@ func (c *Characterizer) At(key Key, voltage float64) (*Characterization, error) 
 		return nil, err
 	}
 	mV := millivolts(voltage)
-	v := float64(mV) / 1000
-	return c.cache.Get(cacheKey{key: key, mV: mV},
-		func() (string, error) { return c.storeKey(key, v), nil },
-		c.decoder(key, v),
-		func() (*Characterization, error) { return c.run(key, v, runtime.GOMAXPROCS(0)), nil })
+	storeKey, decode, run := c.source(key, mV)
+	return c.cache.Get(cacheKey{key: key, mV: mV}, storeKey, decode, run)
 }
 
 // GridAt returns the violation grid of key at the given supply voltage
 // (rounded to the millivolt, as At does), one per characterizer however
 // many models and goroutines ask. A grid in the store is the answer
-// without touching the characterization; otherwise it is counted from
-// At's characterization, loaded or simulated, and saved.
+// without touching the characterization. Otherwise it is counted from
+// the characterization an At holds or is computing, or else from one
+// loaded from the store or simulated and saved, which nothing keeps;
+// the grid is then saved.
 func (c *Characterizer) GridAt(key Key, voltage float64) (*ViolationGrid, error) {
 	if _, err := Gen(key.Gen); err != nil {
 		return nil, err
 	}
 	mV := millivolts(voltage)
 	v := float64(mV) / 1000
-	return c.grids.Get(cacheKey{key: key, mV: mV},
+	k := cacheKey{key: key, mV: mV}
+	return c.grids.Get(k,
 		func() (string, error) { return c.gridStoreKey(key, v), nil },
 		c.gridDecoder(key),
 		func() (*ViolationGrid, error) {
-			ch, err := c.At(key, v)
-			if err != nil {
-				return nil, err
+			ch, ok := c.cache.Held(k)
+			if !ok {
+				var err error
+				if ch, err = c.cache.LoadOrBuild(c.source(key, mV)); err != nil {
+					return nil, err
+				}
 			}
 			return newViolationGrid(ch), nil
 		})
+}
+
+// source returns the store key, the store decode and the simulation of
+// key's characterization at mV: At's memoized Get and GridAt's
+// LoadOrBuild of the same value.
+func (c *Characterizer) source(key Key, mV int) (func() (string, error), func([]byte) (*Characterization, bool), func() (*Characterization, error)) {
+	v := float64(mV) / 1000
+	return func() (string, error) { return c.storeKey(key, v), nil },
+		c.decoder(key, v),
+		func() (*Characterization, error) { return c.run(key, v, runtime.GOMAXPROCS(0)), nil }
 }
 
 // storeKey spells out every input a characterization depends on: the

@@ -121,14 +121,7 @@ func TestShardedRunMatchesSerial(t *testing.T) {
 func BenchmarkCharacterizeSweepKeys(b *testing.B) {
 	alu := circuit.New(circuit.DefaultConfig())
 	c := dta.NewCharacterizer(alu, timing.DefaultVddDelay(), dta.DefaultConfig())
-	for _, key := range []dta.Key{
-		{Unit: circuit.UnitAdd, Gen: "imm16"},
-		{Unit: circuit.UnitAdd, Gen: "u32"},
-		{Unit: circuit.UnitCompare, Gen: "u16"},
-		{Unit: circuit.UnitCompare, Gen: "imm16"},
-		{Unit: circuit.UnitSll, Gen: "amt5"},
-		{Unit: circuit.UnitMul, Gen: "u8"},
-	} {
+	for _, key := range dta.SweepKeys() {
 		b.Run(fmt.Sprintf("%v-%s", key.Unit, key.Gen), func(b *testing.B) {
 			for b.Loop() {
 				c.RunSharded(key, 0.7, runtime.GOMAXPROCS(0))

@@ -814,20 +814,24 @@ func (m *ModelC) table(op isa.Op) *opTable {
 // fillTable loads (or builds) op's violation grid at the model's
 // voltage, once per table however many goroutines and ops ask at the
 // same time, then publishes the table for op. Only joint sampling reads
-// the raw characterization; independent sampling never loads it.
+// the raw characterization, and it asks for it first, so a cold grid is
+// counted from the matrix At keeps rather than from a second
+// simulation; independent sampling never keeps it.
 func (m *ModelC) fillTable(op isa.Op) {
 	t := m.tables[op]
 	t.fill.Do(func() {
-		g, err := m.char.GridAt(t.key, m.vdd)
-		if err == nil && m.sampling == Joint {
+		var err error
+		if m.sampling == Joint {
 			t.ch, err = m.char.At(t.key, m.vdd)
+		}
+		if err == nil {
+			t.g, err = m.char.GridAt(t.key, m.vdd)
 		}
 		if err != nil {
 			// GridAt and At fail only on an unknown generator, which
 			// NewModelC rejects.
 			panic("fi: model C table: " + err.Error())
 		}
-		t.g = g
 		t.dvSafe = m.noise.rejectFrom(m.periodPs, t.g.MaxPs)
 	})
 	m.filled[op].Store(true)

@@ -109,3 +109,59 @@ func TestBuildsDoNotBlockOtherKeys(t *testing.T) {
 	close(release)
 	<-done
 }
+
+// Lookup reports only a finished, successful build: an absent key, a
+// failed build and a panicked one are false, and a build in flight is
+// waited for rather than reported half-done. It never adds a key.
+func TestLookup(t *testing.T) {
+	var m Map[string, int]
+	if _, ok := m.Lookup("absent"); ok {
+		t.Error("Lookup of a key no Get asked for reported true")
+	}
+	if v, _ := m.Get("absent", func() (int, error) { return 3, nil }); v != 3 {
+		t.Errorf("Get after Lookup = %d, want its own build's 3: Lookup added the key", v)
+	}
+	if v, ok := m.Lookup("absent"); !ok || v != 3 {
+		t.Errorf("Lookup after Get = %d, %v; want 3, true", v, ok)
+	}
+	m.Get("failed", func() (int, error) { return 4, errors.New("boom") })
+	if _, ok := m.Lookup("failed"); ok {
+		t.Error("Lookup reported a failed build")
+	}
+	func() {
+		defer func() { recover() }()
+		m.Get("panicked", func() (int, error) { panic("boom") })
+	}()
+	if _, ok := m.Lookup("panicked"); ok {
+		t.Error("Lookup reported a panicked build")
+	}
+	if _, err := m.Get("panicked", nil); !errors.Is(err, errPanicked) {
+		t.Errorf("Get after a panicked build: err %v, want %v", err, errPanicked)
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	go m.Get("inflight", func() (int, error) {
+		close(parked)
+		<-release
+		return 5, nil
+	})
+	<-parked
+	type result struct {
+		v  int
+		ok bool
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, ok := m.Lookup("inflight")
+		got <- result{v, ok}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("Lookup returned %+v while the build was in flight", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if r := <-got; !r.ok || r.v != 5 {
+		t.Errorf("Lookup of the finished build = %+v, want {5 true}", r)
+	}
+}
