@@ -72,13 +72,47 @@ func startWorkers(t *testing.T, n int, cellDelay time.Duration) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		w := &Worker{System: system(), CellDelay: cellDelay}
-		ts := httptest.NewServer(w.Handler())
+		ts := httptest.NewServer(slowCells((&Worker{System: system()}).Handler(), cellDelay))
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
 	return urls
 }
+
+// slowCells gives a worker a fixed per-node service latency: each
+// computed (non-cached) cell event of a lease stream waits delay before
+// it is written, one cell at a time per lease, or until the request
+// ends. TestClusterShapesBitIdentical (the 4-vs-1-worker speedup gate)
+// and TestWorkStealing use it to emulate node capacity on hosts with
+// fewer cores than workers.
+func slowCells(h http.Handler, delay time.Duration) http.Handler {
+	if delay <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(&slowCellWriter{ResponseWriter: w, ctx: r.Context(), delay: delay}, r)
+	})
+}
+
+// slowCellWriter sees each NDJSON event in one Write: the worker's
+// json.Encoder writes an event's whole line at once.
+type slowCellWriter struct {
+	http.ResponseWriter
+	ctx   context.Context
+	delay time.Duration
+}
+
+func (s *slowCellWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"event":"cell"`)) && !bytes.Contains(p, []byte(`"cached":true`)) {
+		select {
+		case <-time.After(s.delay):
+		case <-s.ctx.Done(): // the run is ending: drain it
+		}
+	}
+	return s.ResponseWriter.Write(p)
+}
+
+func (s *slowCellWriter) Flush() { s.ResponseWriter.(http.Flusher).Flush() }
 
 // csvOf renders cell results exactly as GET /result?format=csv would.
 func csvOf(t *testing.T, cells []mc.CellResult) []byte {
@@ -199,7 +233,7 @@ func TestCoordinatorCancelLeaksNoGoroutines(t *testing.T) {
 	var urls []string
 	var servers []*httptest.Server
 	for range 2 {
-		ts := httptest.NewServer((&Worker{System: system(), CellDelay: 200 * time.Millisecond}).Handler())
+		ts := httptest.NewServer(slowCells((&Worker{System: system()}).Handler(), 200*time.Millisecond))
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
 	}
@@ -356,8 +390,7 @@ func TestWorkerLossFailover(t *testing.T) {
 // steal from the slow lease's unreported tail — and the duplicate
 // completions the victim still produces are discarded harmlessly.
 func TestWorkStealing(t *testing.T) {
-	slowW := &Worker{System: system(), CellDelay: 150 * time.Millisecond}
-	slow := httptest.NewServer(slowW.Handler())
+	slow := httptest.NewServer(slowCells((&Worker{System: system()}).Handler(), 150*time.Millisecond))
 	t.Cleanup(slow.Close)
 	fast := startWorkers(t, 1, 0)
 
@@ -412,9 +445,9 @@ func TestFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestProgressFanin checks the coordinator reports aggregate progress
-// monotonically up to the full grid: the last emission covers all
-// points and totals stay at the plan estimate.
+// TestProgressFanin checks the coordinator sums its workers' progress
+// up to the full grid: the last emission covers every point at its
+// actual trials, which a fixed grid fixes at the plan's budget.
 func TestProgressFanin(t *testing.T) {
 	urls := startWorkers(t, 2, 0)
 	coord, err := New(system(), nil, urls, Config{LeaseCells: 2, Client: testClient()})
@@ -443,6 +476,110 @@ func TestProgressFanin(t *testing.T) {
 	}
 	if last.DoneTrials != 48 || last.TotalTrials != 48 {
 		t.Errorf("final progress %d/%d trials, want 48/48", last.DoneTrials, last.TotalTrials)
+	}
+}
+
+// adaptiveSpec is an 8-cell adaptive grid near median's point of first
+// failure, where cells extend their budgets past TrialsMin.
+func adaptiveSpec() server.JobSpec {
+	spec := gridSpec(21)
+	spec.Freqs = mc.FreqRange(760, 820, 20)
+	spec.TrialsMin, spec.TrialsMax = 4, 64
+	return spec
+}
+
+// runProgress runs spec on b and returns every progress snapshot it
+// reported, in order, with the cells.
+func runProgress(t *testing.T, b server.Backend, spec server.JobSpec) ([]mc.Progress, []mc.CellResult) {
+	t.Helper()
+	canon, err := spec.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	var snaps []mc.Progress
+	cells, err := b.Run(ctx, canon, func(p mc.Progress) {
+		mu.Lock()
+		snaps = append(snaps, p)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatalf("backend run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(snaps) == 0 {
+		t.Fatal("no progress reported")
+	}
+	return snaps, cells
+}
+
+// finalProgress is the snapshot a grid's cells should end on: every
+// point done at its actual trials.
+func finalProgress(cells []mc.CellResult) mc.Progress {
+	p := mc.Progress{DonePoints: len(cells), TotalPoints: len(cells)}
+	for _, c := range cells {
+		p.DoneTrials += c.Point.Trials
+	}
+	p.TotalTrials = p.DoneTrials
+	return p
+}
+
+// TestProgressAdaptiveMatchesEngine pins the coordinator's progress to
+// the in-process engine's on an adaptive grid: both end on the same
+// snapshot, every point done at its actual trials, although the cells
+// grew their budgets on workers the coordinator only hears from.
+func TestProgressAdaptiveMatchesEngine(t *testing.T) {
+	spec := adaptiveSpec()
+	local, cells := runProgress(t, server.GridBackend{System: system()}, spec)
+	want := finalProgress(cells)
+	if got := local[len(local)-1]; got != want {
+		t.Fatalf("in-process engine ends on %+v, want %+v", got, want)
+	}
+	if want.TotalTrials <= len(cells)*spec.TrialsMin {
+		t.Fatalf("no cell extended its budget (%d trials over %d cells): the grid does not test adaptive totals", want.TotalTrials, len(cells))
+	}
+
+	coord, err := New(system(), nil, startWorkers(t, 2, 0), Config{LeaseCells: 2, Client: testClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := runProgress(t, coord, spec)
+	if got := snaps[len(snaps)-1]; got != want {
+		t.Errorf("coordinator ends on %+v, want the engine's %+v", got, want)
+	}
+}
+
+// TestProgressMonotoneOneWorker checks every snapshot of a 1-worker
+// cluster run, fixed and adaptive: done trials and points never
+// decrease, done never exceeds total, and the run ends with every point
+// done at its actual trials.
+func TestProgressMonotoneOneWorker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec server.JobSpec
+	}{{"fixed", gridSpec(22)}, {"adaptive", adaptiveSpec()}} {
+		name, spec := tc.name, tc.spec
+		coord, err := New(system(), nil, startWorkers(t, 1, 0), Config{LeaseCells: 2, Client: testClient()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps, cells := runProgress(t, coord, spec)
+		var prev mc.Progress
+		for i, p := range snaps {
+			if p.DoneTrials < prev.DoneTrials || p.DonePoints < prev.DonePoints {
+				t.Errorf("%s: snapshot %d %+v went back from %+v", name, i, p, prev)
+			}
+			if p.DoneTrials > p.TotalTrials {
+				t.Errorf("%s: snapshot %d %+v has more trials done than in total", name, i, p)
+			}
+			prev = p
+		}
+		if want := finalProgress(cells); prev != want {
+			t.Errorf("%s: ends on %+v, want %+v", name, prev, want)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mc"
-	"repro/internal/progress"
 	"repro/internal/server"
 )
 
@@ -151,8 +150,9 @@ type job struct {
 	fingerprint string
 	plan        []mc.PlannedCell
 
-	cancel context.CancelFunc
-	fan    *progress.Fanin
+	cancel     context.CancelFunc
+	onProgress func(mc.Progress)
+	initial    int // a cell's opening trial budget: Trials, or TrialsMin when adaptive
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -162,6 +162,10 @@ type job struct {
 	results   []mc.CellResult
 	remaining int   // cells neither completed nor cached
 	err       error // first fatal error; set once, cancels the job ctx
+	// settled counts every cached cell and every cell a closed lease
+	// accepted at its actual trials, and every other cell at its opening
+	// budget; the live leases' shares complete the job's progress.
+	settled mc.Progress
 }
 
 // lease is one in-flight batch on one worker.
@@ -174,8 +178,10 @@ type lease struct {
 	// victim may still report them — harmless duplicates).
 	completed map[int]bool
 	stolen    map[int]bool
-	// accepted progress folded into the fan-in when the lease closes.
-	acceptedTrials, acceptedPoints int
+	// live is the lease's share of the job's progress by its latest
+	// progress event; accepted is what its accepted cells fold into the
+	// settled sum when it closes.
+	live, accepted mc.Progress
 }
 
 // pending returns the lease's unreported, unstolen cells in lease
@@ -188,6 +194,30 @@ func (l *lease) pending() []int {
 		}
 	}
 	return out
+}
+
+// addProgress returns the field-wise sum of two progress snapshots.
+func addProgress(a, b mc.Progress) mc.Progress {
+	return mc.Progress{
+		DoneTrials:  a.DoneTrials + b.DoneTrials,
+		TotalTrials: a.TotalTrials + b.TotalTrials,
+		DonePoints:  a.DonePoints + b.DonePoints,
+		TotalPoints: a.TotalPoints + b.TotalPoints,
+	}
+}
+
+// emitLocked reports the job's progress, the settled sum plus every
+// live lease's share. It runs under j.mu, so reports are serialized and
+// in mutation order, as the engine's are.
+func (j *job) emitLocked() {
+	if j.onProgress == nil {
+		return
+	}
+	p := j.settled
+	for _, l := range j.inflight {
+		p = addProgress(p, l.live)
+	}
+	j.onProgress(p)
 }
 
 // fail records the job's first fatal error and cancels every lease.
@@ -214,21 +244,6 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec, onProgress f
 	}
 	n := len(plan)
 
-	fan := progress.NewFanin(func(cnt progress.Counts) {
-		if onProgress != nil {
-			onProgress(mc.Progress{
-				DoneTrials: cnt.Done, TotalTrials: cnt.Total,
-				DonePoints: cnt.DonePoints, TotalPoints: cnt.TotalPoints,
-			})
-		}
-	})
-	// The totals estimate matches the in-process engine's convention:
-	// under adaptive allocation every cell opens at TrialsMin.
-	estTrials := spec.Trials
-	if spec.TrialsMax > 0 {
-		estTrials = spec.TrialsMin
-	}
-
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	j := &job{
@@ -236,28 +251,34 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec, onProgress f
 		fingerprint: spec.Fingerprint(c.system.Fingerprint()),
 		plan:        plan,
 		cancel:      cancel,
-		fan:         fan,
+		onProgress:  onProgress,
+		initial:     spec.Trials,
 		inflight:    map[string]*lease{},
 		done:        make([]bool, n),
 		results:     make([]mc.CellResult, n),
+		settled:     mc.Progress{TotalPoints: n},
+	}
+	if spec.TrialsMax > 0 {
+		j.initial = spec.TrialsMin
 	}
 	j.cond = sync.NewCond(&j.mu)
 
-	base := progress.Counts{Total: estTrials * n, TotalPoints: n}
 	for _, pc := range plan {
 		if pc.Point != nil {
 			j.results[pc.Index] = mc.CellResult{
 				Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Key: pc.Key, Cached: true, Point: *pc.Point,
 			}
 			j.done[pc.Index] = true
-			base.Done += pc.Point.Trials
-			base.DonePoints++
+			j.settled.DoneTrials += pc.Point.Trials
+			j.settled.TotalTrials += pc.Point.Trials
+			j.settled.DonePoints++
 			continue
 		}
 		j.queue = append(j.queue, pc.Index)
+		j.settled.TotalTrials += j.initial
 	}
 	j.remaining = len(j.queue)
-	fan.Fold(base)
+	j.emitLocked() // no pull loop runs yet
 	if j.remaining == 0 {
 		return j.results, nil
 	}
@@ -433,7 +454,18 @@ func (c *Coordinator) runLease(ctx context.Context, j *job, wi int, l *lease) er
 		}
 		switch ev.Event {
 		case "progress":
-			j.fan.Update(l.id, progress.Counts{Done: ev.DoneTrials, DonePoints: ev.DonePoints})
+			// The event covers the lease's cells the worker served from
+			// its store or opened in its engine, total_points of them;
+			// their reported budgets replace the opening budgets the
+			// settled sum holds for them.
+			j.mu.Lock()
+			l.live = mc.Progress{
+				DoneTrials:  ev.DoneTrials,
+				TotalTrials: ev.TotalTrials - j.initial*ev.TotalPoints,
+				DonePoints:  ev.DonePoints,
+			}
+			j.emitLocked()
+			j.mu.Unlock()
 		case "cell":
 			if err := c.acceptCell(j, l, ev); err != nil {
 				return err
@@ -485,8 +517,9 @@ func (c *Coordinator) acceptCell(j *job, l *lease, ev LeaseEvent) error {
 	j.results[ev.Index] = mc.CellResult{
 		Bench: pc.Cell.Bench.Name, Model: pc.Cell.Model, Key: pc.Key, Cached: ev.Cached, Point: *ev.Point,
 	}
-	l.acceptedTrials += ev.Point.Trials
-	l.acceptedPoints++
+	l.accepted.DoneTrials += ev.Point.Trials
+	l.accepted.TotalTrials += ev.Point.Trials - j.initial
+	l.accepted.DonePoints++
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
@@ -505,7 +538,8 @@ func (c *Coordinator) acceptCell(j *job, l *lease, ev LeaseEvent) error {
 func (c *Coordinator) finishLease(j *job, l *lease, lerr error) {
 	j.mu.Lock()
 	delete(j.inflight, l.id)
-	j.fan.Close(l.id, progress.Counts{Done: l.acceptedTrials, DonePoints: l.acceptedPoints})
+	j.settled = addProgress(j.settled, l.accepted)
+	j.emitLocked()
 	var requeued int64
 	for _, idx := range l.cells {
 		// A cell is uncovered if nobody reported it and no thief owns

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/mc"
-	"repro/internal/progress"
 	"repro/internal/server"
 )
 
@@ -91,11 +90,11 @@ func FuzzLeaseStream(f *testing.F) {
 		defer cancel()
 		j := &job{
 			spec: spec, plan: plan, cancel: cancel,
-			fan:      progress.NewFanin(func(progress.Counts) {}),
-			inflight: map[string]*lease{},
-			done:     make([]bool, len(plan)),
-			results:  make([]mc.CellResult, len(plan)),
-			queue:    []int{0, 3},
+			onProgress: func(mc.Progress) {},
+			inflight:   map[string]*lease{},
+			done:       make([]bool, len(plan)),
+			results:    make([]mc.CellResult, len(plan)),
+			queue:      []int{0, 3},
 		}
 		j.remaining = len(plan)
 		j.cond = sync.NewCond(&j.mu)

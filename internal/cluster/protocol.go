@@ -42,9 +42,10 @@ type LeaseEvent struct {
 
 	// Progress fields (event "progress"): cumulative within the lease —
 	// cells served from the worker's store plus the live counts of the
-	// lease's computed cells, which all run at once. The coordinator uses
-	// only the done counts; lease-local totals are informative (the
-	// coordinator knows the whole job's totals from its own plan).
+	// lease's computed cells, which all run at once. TotalPoints counts
+	// the cells the event covers, so the coordinator can replace their
+	// opening budgets with TotalTrials, which grows under adaptive
+	// allocation.
 	DoneTrials  int `json:"done_trials,omitempty"`
 	TotalTrials int `json:"total_trials,omitempty"`
 	DonePoints  int `json:"done_points,omitempty"`

@@ -42,13 +42,6 @@ type Worker struct {
 	Store *artifact.Store
 	// Workers caps the mc trial pool per lease (0 = NumCPU).
 	Workers int
-	// CellDelay, when positive, sleeps after each computed (non-cached)
-	// cell before reporting it, one cell's sleep at a time per lease — a
-	// fixed per-node service latency that TestClusterShapesBitIdentical
-	// (the 4-vs-1-worker speedup gate) and TestWorkStealing use to
-	// emulate node capacity on machines with fewer cores than workers.
-	// Zero in production.
-	CellDelay time.Duration
 	// Logf, when set, receives one line per lease.
 	Logf func(format string, args ...any)
 }
@@ -193,11 +186,6 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 			if ev.Cached {
 				cachedTrials += ev.Point.Trials
 				cachedPoints++
-			} else if w.CellDelay > 0 {
-				select {
-				case <-time.After(w.CellDelay):
-				case <-ctx.Done(): // the run is ending: drain it
-				}
 			}
 			write(ev)
 		case p := <-progress:

@@ -229,12 +229,15 @@ func (s Spec) batchedFor(b *bench.Benchmark) bool {
 }
 
 // Progress is a snapshot of sweep-engine progress. Trial totals grow
-// while adaptive points extend their budgets.
+// while adaptive points extend their budgets. It is the one progress
+// record from the engine to the wire: the job server embeds it in its
+// status and event JSON, and the cluster coordinator sums it over
+// leases.
 type Progress struct {
-	DoneTrials  int
-	TotalTrials int
-	DonePoints  int
-	TotalPoints int
+	DoneTrials  int `json:"done_trials"`
+	TotalTrials int `json:"total_trials"`
+	DonePoints  int `json:"done_points"`
+	TotalPoints int `json:"total_points"`
 }
 
 // Point aggregates one (configuration, frequency) data point.

@@ -118,11 +118,8 @@ const shedCause = "shed: displaced by higher-priority admission, resubmit later"
 // engine's trial/point counters plus the job state, so a single stream
 // carries both liveness and completion.
 type Progress struct {
-	State       State `json:"state"`
-	DoneTrials  int   `json:"done_trials"`
-	TotalTrials int   `json:"total_trials"`
-	DonePoints  int   `json:"done_points"`
-	TotalPoints int   `json:"total_points"`
+	State State `json:"state"`
+	mc.Progress
 }
 
 // Options configures a Manager. System is required; everything else
@@ -528,13 +525,7 @@ func (m *Manager) runJob(j *Job) {
 	j.prog.Publish(Progress{State: StateRunning})
 
 	cells, err := m.opt.Backend.Run(j.ctx, j.Spec, func(p mc.Progress) {
-		j.prog.Publish(Progress{
-			State:       StateRunning,
-			DoneTrials:  p.DoneTrials,
-			TotalTrials: p.TotalTrials,
-			DonePoints:  p.DonePoints,
-			TotalPoints: p.TotalPoints,
-		})
+		j.prog.Publish(Progress{StateRunning, p})
 	})
 
 	m.mu.Lock()

@@ -172,6 +172,38 @@ func TestCanonicalizeRejects(t *testing.T) {
 	}
 }
 
+// TestMaxJobTrials pins the job trial bound: a grid budgeting exactly
+// MaxJobTrials trials canonicalizes, one adaptive ceiling past it is
+// refused, and POST /v1/jobs answers that spec with 400.
+func TestMaxJobTrials(t *testing.T) {
+	freqs := mc.FreqRange(700, 763, 1) // 64 cells
+	at := JobSpec{Benches: []string{"median"}, Freqs: freqs, Trials: MaxJobTrials / len(freqs)}
+	if _, err := at.Canonicalize(); err != nil {
+		t.Fatalf("spec at the bound (%d cells × %d trials) refused: %v", len(freqs), at.Trials, err)
+	}
+	over := JobSpec{Benches: []string{"median"}, Freqs: freqs, TrialsMax: MaxJobTrials/len(freqs) + 1}
+	if _, err := over.Canonicalize(); err == nil {
+		t.Fatalf("spec past the bound (%d cells × %d trials_max) accepted", len(freqs), over.TrialsMax)
+	}
+
+	m := NewManager(Options{System: system()})
+	defer m.Shutdown(context.Background())
+	ts := httptest.NewServer(Handler(m))
+	defer ts.Close()
+	blob, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/jobs past the bound: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // FuzzCanonicalize decodes arbitrary request bodies the way the HTTP
 // handler does and checks that canonicalization is idempotent — a
 // canonical spec canonicalizes to itself, with the same fingerprint —

@@ -94,6 +94,12 @@ const (
 	// MaxTrials bounds trials and trials_max per cell: the engine
 	// preallocates a per-point results slice of that length.
 	MaxTrials = 1 << 20
+	// MaxJobTrials bounds a job's trial budget, cells × max(trials,
+	// trials_max). The engine allocates a cell's whole results slice, one
+	// 56-byte slot per trial, as soon as the cell resolves, and resolvers
+	// run ahead of the trials, so a job may hold every slot at once:
+	// 2^22 × 56 B = 224 MiB at the bound.
+	MaxJobTrials = 1 << 22
 	// MaxWatchdogFactor keeps the faulty-run cycle bound well inside
 	// uint64 when multiplied by any golden cycle count.
 	MaxWatchdogFactor = 1 << 20
@@ -170,7 +176,8 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 			return c, fmt.Errorf("freqs[%d]: invalid frequency %v", i, f)
 		}
 	}
-	if cells := len(c.Benches) * len(c.Models) * len(c.Vdds) * len(c.Sigmas) * len(c.Freqs); cells > MaxCells {
+	cells := len(c.Benches) * len(c.Models) * len(c.Vdds) * len(c.Sigmas) * len(c.Freqs)
+	if cells > MaxCells {
 		return c, fmt.Errorf("grid has %d cells (max %d)", cells, MaxCells)
 	}
 	if c.Trials <= 0 {
@@ -178,6 +185,9 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	}
 	if c.Trials > MaxTrials || c.TrialsMax > MaxTrials {
 		return c, fmt.Errorf("trials: at most %d per cell", MaxTrials)
+	}
+	if n := cells * max(c.Trials, c.TrialsMax); n > MaxJobTrials {
+		return c, fmt.Errorf("grid budgets %d trials (%d cells × %d; max %d per job)", n, cells, max(c.Trials, c.TrialsMax), MaxJobTrials)
 	}
 	if c.TrialsMin > 0 && c.TrialsMax <= 0 {
 		return c, fmt.Errorf("trials_min has no effect without trials_max (adaptive mode)")
